@@ -18,7 +18,6 @@ from .engine import (
     DEFAULT_EXACT_CAP,
     inclusion_exclusion_expectation,
     sampling_expectation,
-    single_arrival_expectation,
 )
 from .errors import CapacityError, DivergenceError, InputError
 from .models import (
@@ -145,9 +144,8 @@ def _g_sweep(args) -> int:
         raise InputError(
             f"--g-range must stay within 1..N={population.total} (got {lo}..{hi})"
         )
-    baseline = single_arrival_expectation(
-        population.proportions(), exact_cap=args.exact_cap
-    )
+    # single arrivals are samples of size 1
+    baseline = sampling_expectation(population, 1, exact_cap=args.exact_cap).value
     rows = []
     for g in range(lo, hi + 1):
         result = sampling_expectation(population, g, exact_cap=args.exact_cap)

@@ -24,7 +24,13 @@ import numpy as np
 
 from ._bits import popcounts, types_of
 from .errors import CapacityError, DivergenceError, InputError
-from .models import GroupModel, Population, WithoutReplacement, _validated_probabilities
+from .models import (
+    GroupModel,
+    Population,
+    WithoutReplacement,
+    _check_collectable,
+    _validated_probabilities,
+)
 
 DEFAULT_EXACT_CAP = 24
 
@@ -62,16 +68,6 @@ def _check_capacity(m: int, exact_cap: int):
         raise CapacityError(
             f"m={m} exceeds the exact-computation cap of {exact_cap} "
             f"(2**m subsets); raise the cap or use the Monte Carlo oracle"
-        )
-
-
-def _check_collectable(model: GroupModel):
-    bad = model.uncollectable_types()
-    if bad:
-        raise DivergenceError(
-            f"type {bad[0]} never appears in any group, so the collection "
-            f"cannot be completed",
-            subset_mask=1 << bad[0],
         )
 
 

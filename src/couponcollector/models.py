@@ -16,9 +16,20 @@ groups of constant size g, and five group distributions are supported:
   sampling of types).
 
 Every model answers the same query: the avoidance probability q(S), the
-chance that a single drawn group contains no type from the subset S. All
-model values are immutable after construction; sampling takes an explicit
-caller-owned random generator.
+chance that a single drawn group contains no type from the subset S.
+Apart from ``IidWithinGroup`` (q(S) = (1 - p(S))**g), the models share
+one of two laws:
+
+- count statistic (``UniformDistinct``, ``WithoutReplacement``): q(S)
+  depends only on the excluded count c, the sum of the per-type counts
+  over S, through q(c) = P(N - c, g) / P(N, g). ``UniformDistinct`` is an
+  urn of m singletons. Each q(c) is computed in exact integers and
+  rounded once, so the table and single queries agree bit for bit.
+- explicit (mask, weight) table (``WeightedDistinct``, ``DraftLottery``):
+  q(S) is the total weight of the listed groups disjoint from S.
+
+All model values are immutable after construction; sampling takes an
+explicit caller-owned random generator.
 """
 
 import json
@@ -30,8 +41,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import mask_of, popcounts, subset_sums, subset_zeta, types_of
-from .errors import InputError
+from ._bits import mask_of, subset_sums, subset_zeta, types_of
+from .errors import DivergenceError, InputError
 
 PROB_SUM_TOLERANCE = 1e-9
 DRAFT_MAX_GROUP_SIZE = 8
@@ -124,6 +135,31 @@ class GroupModel(ABC):
         """One-line human-readable description."""
 
 
+def _subset_masks(m: int, k: int) -> np.ndarray:
+    """Bitmasks of every k-subset of m types, in lexicographic order."""
+    return np.array([mask_of(c) for c in combinations(range(m), k)], dtype=np.int64)
+
+
+def _check_distinct_groups(m: int, g: int):
+    if m < 1:
+        raise InputError("m must be at least 1")
+    if not 1 <= g < m:
+        raise InputError(
+            f"distinct-type groups need 1 <= g < m (got g={g}, m={m})"
+        )
+
+
+def _check_collectable(model: GroupModel):
+    """Reject a model with a type that no group can ever contain."""
+    bad = model.uncollectable_types()
+    if bad:
+        raise DivergenceError(
+            f"type {bad[0]} never appears in any group, so the collection "
+            f"cannot be completed",
+            subset_mask=1 << bad[0],
+        )
+
+
 def _weighted_removal_masks(
     uniforms: np.ndarray, base_weights: np.ndarray
 ) -> np.ndarray:
@@ -174,35 +210,37 @@ def _ranked_urn_masks(uniforms: np.ndarray, cum_counts: np.ndarray) -> np.ndarra
     return masks
 
 
-@dataclass(frozen=True)
-class UniformDistinct(GroupModel):
-    """All C(m, g) distinct-type groups equally likely."""
+class _CountLaw(GroupModel):
+    """g individuals drawn without replacement from an urn of integer counts.
 
-    m: int
-    g: int
+    Subclasses give the per-type counts as ``_counts``. q(S) depends on S
+    only through the excluded count c, the sum of the counts over S:
+    q(c) = P(N - c, g) / P(N, g), a ratio of falling factorials computed in
+    exact integers and rounded once, so every value is correctly rounded.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "g", int(self.g))
-        if self.m < 1:
-            raise InputError("m must be at least 1")
-        if not 1 <= self.g < self.m:
-            raise InputError(
-                f"distinct-type groups need 1 <= g < m (got g={self.g}, m={self.m})"
-            )
+    @property
+    def _total(self) -> int:
+        return sum(self._counts)
+
+    def _count_avoidance(self, excluded) -> np.ndarray:
+        """q at each excluded count in ``excluded``."""
+        total, g = self._total, self.g
+        whole = math.perm(total, g)
+        return np.array([math.perm(total - c, g) / whole for c in excluded])
 
     def avoidance_probability(self, subset_mask: int) -> float:
-        k = self._check_mask(subset_mask).bit_count()
-        return math.comb(self.m - k, self.g) / math.comb(self.m, self.g)
+        types = types_of(self._check_mask(subset_mask))
+        return float(self._count_avoidance([sum(self._counts[i] for i in types)])[0])
 
     def avoidance_table(self) -> np.ndarray:
-        per_size = np.array(
-            [
-                math.comb(self.m - k, self.g) / math.comb(self.m, self.g)
-                for k in range(self.m + 1)
-            ]
-        )
-        return per_size[popcounts(self.m)]
+        excluded = subset_sums(self._counts).astype(np.int64)
+        if self._total < excluded.size:
+            return self._count_avoidance(range(self._total + 1))[excluded]
+        # N >= 2**m: a table over 0..N would grow with the population, so
+        # round q only at the counts that occur
+        needed, where = np.unique(excluded, return_inverse=True)
+        return self._count_avoidance(needed.tolist())[where]
 
     def uncollectable_types(self) -> tuple[int, ...]:
         return ()
@@ -212,18 +250,68 @@ class UniformDistinct(GroupModel):
         return self.g
 
     @cached_property
-    def _unit_cum_counts(self) -> np.ndarray:
-        return np.arange(1, self.m + 1, dtype=np.int64)
+    def _cum_counts(self) -> np.ndarray:
+        return np.cumsum(np.asarray(self._counts, dtype=np.int64))
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        return _ranked_urn_masks(uniforms, self._unit_cum_counts)
+        return _ranked_urn_masks(uniforms, self._cum_counts)
+
+
+class _ExplicitLaw(GroupModel):
+    """A group law given as explicit (group mask, weight) pairs.
+
+    Subclasses give the pairs as ``_group_law = (masks, weights)``; q(S) is
+    the total weight of the groups disjoint from S.
+    """
+
+    def avoidance_probability(self, subset_mask: int) -> float:
+        subset_mask = self._check_mask(subset_mask)
+        if subset_mask == 0:
+            return 1.0  # every group avoids nothing
+        masks, weights = self._group_law
+        return min(1.0, math.fsum(weights[(masks & subset_mask) == 0].tolist()))
+
+    def avoidance_table(self) -> np.ndarray:
+        masks, weights = self._group_law
+        lattice = np.zeros(1 << self.m)
+        np.add.at(lattice, masks, weights)
+        contained = subset_zeta(lattice)
+        # q(S) = total weight of groups inside the complement of S
+        table = np.clip(contained[::-1], 0.0, 1.0)
+        table[0] = 1.0
+        return table
+
+    def uncollectable_types(self) -> tuple[int, ...]:
+        masks, weights = self._group_law
+        covered = int(np.bitwise_or.reduce(masks[weights > 0.0]))
+        return tuple(i for i in range(self.m) if not covered & (1 << i))
+
+
+@dataclass(frozen=True)
+class UniformDistinct(_CountLaw):
+    """All C(m, g) distinct-type groups equally likely.
+
+    The same law as drawing g individuals from an urn of m singletons.
+    """
+
+    m: int
+    g: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "g", int(self.g))
+        _check_distinct_groups(self.m, self.g)
+
+    @property
+    def _counts(self) -> tuple[int, ...]:
+        return (1,) * self.m
 
     def describe(self) -> str:
         return f"uniform_distinct(m={self.m}, g={self.g})"
 
 
 @dataclass(frozen=True)
-class WeightedDistinct(GroupModel):
+class WeightedDistinct(_ExplicitLaw):
     """Distinct-type groups with explicit per-group probabilities.
 
     ``weights[i]`` is the probability of the i-th g-subset of types in
@@ -238,12 +326,7 @@ class WeightedDistinct(GroupModel):
     def __post_init__(self):
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "g", int(self.g))
-        if self.m < 1:
-            raise InputError("m must be at least 1")
-        if not 1 <= self.g < self.m:
-            raise InputError(
-                f"distinct-type groups need 1 <= g < m (got g={self.g}, m={self.m})"
-            )
+        _check_distinct_groups(self.m, self.g)
         expected = math.comb(self.m, self.g)
         if len(self.weights) != expected:
             raise InputError(
@@ -255,45 +338,12 @@ class WeightedDistinct(GroupModel):
         )
 
     @cached_property
-    def _group_masks(self) -> np.ndarray:
-        return np.array(
-            [mask_of(c) for c in combinations(range(self.m), self.g)], dtype=np.int64
-        )
-
-    @cached_property
-    def _weights_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
+    def _group_law(self) -> tuple[np.ndarray, np.ndarray]:
+        return _subset_masks(self.m, self.g), np.asarray(self.weights, dtype=np.float64)
 
     @cached_property
     def _cum_weights(self) -> np.ndarray:
-        return np.cumsum(self._weights_array)
-
-    def avoidance_probability(self, subset_mask: int) -> float:
-        subset_mask = self._check_mask(subset_mask)
-        if subset_mask == 0:
-            return 1.0  # every group avoids nothing
-        total = math.fsum(
-            w
-            for gm, w in zip(self._group_masks.tolist(), self.weights)
-            if gm & subset_mask == 0
-        )
-        return min(1.0, total)
-
-    def avoidance_table(self) -> np.ndarray:
-        lattice = np.zeros(1 << self.m)
-        np.add.at(lattice, self._group_masks, self._weights_array)
-        contained = subset_zeta(lattice)
-        # q(S) = total weight of groups inside the complement of S
-        table = np.clip(contained[::-1], 0.0, 1.0)
-        table[0] = 1.0
-        return table
-
-    def uncollectable_types(self) -> tuple[int, ...]:
-        covered = 0
-        for gm, w in zip(self._group_masks.tolist(), self.weights):
-            if w > 0.0:
-                covered |= gm
-        return tuple(i for i in range(self.m) if not covered & (1 << i))
+        return np.cumsum(self._group_law[1])
 
     @property
     def uniforms_per_group(self) -> int:
@@ -304,7 +354,7 @@ class WeightedDistinct(GroupModel):
         target = uniforms[:, 0] * cum[-1]
         idx = np.searchsorted(cum, target, side="right")
         idx = np.minimum(idx, len(cum) - 1)
-        return self._group_masks[idx].astype(np.uint64)
+        return self._group_law[0][idx].astype(np.uint64)
 
     def describe(self) -> str:
         return f"weighted_distinct(m={self.m}, g={self.g})"
@@ -360,7 +410,7 @@ class IidWithinGroup(GroupModel):
 
 
 @dataclass(frozen=True)
-class WithoutReplacement(GroupModel):
+class WithoutReplacement(_CountLaw):
     """g individuals drawn without replacement from a finite population."""
 
     population: Population
@@ -380,41 +430,16 @@ class WithoutReplacement(GroupModel):
     def m(self) -> int:
         return self.population.m
 
-    def avoidance_probability(self, subset_mask: int) -> float:
-        subset_mask = self._check_mask(subset_mask)
-        total = self.population.total
-        excluded = sum(self.population.counts[i] for i in types_of(subset_mask))
-        # falling-factorial ratio P(N - excluded, g) / P(N, g); exact integers
-        return math.perm(total - excluded, self.g) / math.perm(total, self.g)
-
-    def avoidance_table(self) -> np.ndarray:
-        total = self.population.total
-        remaining = total - subset_sums(self.population.counts)
-        table = np.ones_like(remaining)
-        for j in range(self.g):
-            table *= np.maximum(remaining - j, 0.0) / (total - j)
-        return table
-
-    def uncollectable_types(self) -> tuple[int, ...]:
-        return ()
-
     @property
-    def uniforms_per_group(self) -> int:
-        return self.g
-
-    @cached_property
-    def _cum_counts(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.population.counts, dtype=np.int64))
-
-    def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        return _ranked_urn_masks(uniforms, self._cum_counts)
+    def _counts(self) -> tuple[int, ...]:
+        return self.population.counts
 
     def describe(self) -> str:
         return f"without_replacement(counts={self.population.counts}, g={self.g})"
 
 
 @dataclass(frozen=True)
-class DraftLottery(GroupModel):
+class DraftLottery(_ExplicitLaw):
     """Sequential weighted type draws, duplicates discarded, until g distinct.
 
     The chance that the assembled group equals a set G is the sum over
@@ -430,10 +455,7 @@ class DraftLottery(GroupModel):
         object.__setattr__(
             self, "p", _validated_probabilities(self.p, "type probabilities")
         )
-        if not 1 <= self.g < self.m:
-            raise InputError(
-                f"distinct-type groups need 1 <= g < m (got g={self.g}, m={self.m})"
-            )
+        _check_distinct_groups(self.m, self.g)
         if self.g > DRAFT_MAX_GROUP_SIZE:
             raise InputError(
                 f"draft lottery supports g <= {DRAFT_MAX_GROUP_SIZE} "
@@ -451,7 +473,7 @@ class DraftLottery(GroupModel):
         return len(self.p)
 
     @cached_property
-    def _group_weights(self) -> tuple[np.ndarray, np.ndarray]:
+    def _group_law(self) -> tuple[np.ndarray, np.ndarray]:
         """(masks, weights) of every g-subset under the successive-sampling law.
 
         Built by a lattice recursion on prefix sets: the probability W(A)
@@ -464,9 +486,7 @@ class DraftLottery(GroupModel):
         prefix = np.zeros(1 << m)
         prefix[0] = 1.0
         for k in range(1, g + 1):
-            masks_k = np.array(
-                [mask_of(c) for c in combinations(range(m), k)], dtype=np.int64
-            )
+            masks_k = _subset_masks(m, k)
             acc = np.zeros(len(masks_k))
             for b in range(m):
                 if p[b] == 0.0:
@@ -480,32 +500,10 @@ class DraftLottery(GroupModel):
                 ratio = np.where(left > 0.0, p[b] / np.where(left > 0.0, left, 1.0), 0.0)
                 acc[sel] += prefix[before] * ratio
             prefix[masks_k] = acc
-        group_masks = np.array(
-            [mask_of(c) for c in combinations(range(m), g)], dtype=np.int64
-        )
-        group_weights = prefix[group_masks]
-        # the recursion accumulates rounding of order ulp; renormalize so
-        # the group law carries total mass 1
-        return group_masks, group_weights / math.fsum(group_weights.tolist())
-
-    def avoidance_probability(self, subset_mask: int) -> float:
-        subset_mask = self._check_mask(subset_mask)
-        if subset_mask == 0:
-            return 1.0  # every group avoids nothing
-        masks, weights = self._group_weights
-        return min(1.0, float(weights[(masks & subset_mask) == 0].sum()))
-
-    def avoidance_table(self) -> np.ndarray:
-        masks, weights = self._group_weights
-        lattice = np.zeros(1 << self.m)
-        np.add.at(lattice, masks, weights)
-        contained = subset_zeta(lattice)
-        table = np.clip(contained[::-1], 0.0, 1.0)
-        table[0] = 1.0
-        return table
-
-    def uncollectable_types(self) -> tuple[int, ...]:
-        return tuple(i for i, pi in enumerate(self.p) if pi == 0.0)
+        # masks_k now holds the g-subsets; the recursion accumulates
+        # rounding of order ulp, so renormalize to total mass 1
+        group_weights = prefix[masks_k]
+        return masks_k, group_weights / math.fsum(group_weights.tolist())
 
     @property
     def uniforms_per_group(self) -> int:

@@ -29,6 +29,7 @@ from .models import (
     UniformDistinct,
     WeightedDistinct,
     WithoutReplacement,
+    _check_collectable,
 )
 
 DEFAULT_TRIALS = 100_000
@@ -60,16 +61,6 @@ class ChainSolution:
 
     expected_from_empty: float
     state_values: np.ndarray
-
-
-def _check_collectable(model: GroupModel):
-    bad = model.uncollectable_types()
-    if bad:
-        raise DivergenceError(
-            f"type {bad[0]} never appears in any group, so the collection "
-            f"cannot be completed",
-            subset_mask=1 << bad[0],
-        )
 
 
 # Active trials advance in batches of draws; this bounds the number of
@@ -127,13 +118,15 @@ def simulate_collection(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     workers: int = 1,
-    max_draws: int = DEFAULT_MAX_DRAWS,
+    max_draws: int | None = None,
 ) -> SimEstimate:
     """Estimate the expected number of groups by repeated seeded trials.
 
     Identical (model, trials, seed) always yields an identical estimate;
     ``workers`` only partitions the trial range across threads and cannot
     change the result because each trial owns a fixed generator stream.
+    ``max_draws`` caps the groups one trial may draw (default
+    ``DEFAULT_MAX_DRAWS``, read at call time).
     """
     trials = int(trials)
     if trials < 1:
@@ -142,6 +135,8 @@ def simulate_collection(
     if not 0 <= seed < 1 << 64:
         raise InputError("seed must fit in an unsigned 64-bit integer")
     workers = max(1, int(workers))
+    if max_draws is None:
+        max_draws = DEFAULT_MAX_DRAWS
     if workers == 1:
         draws = _simulate_range(model, 0, trials, seed, max_draws)
     else:

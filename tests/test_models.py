@@ -196,6 +196,50 @@ class TestAvoidance:
         # weighted: all mass on the group {0, 1} leaves type 2 uncovered
         weighted = WeightedDistinct(3, 2, (1.0, 0.0, 0.0))
         assert weighted.uncollectable_types() == (2,)
+        # draft: a zero-probability type is in no group of positive weight
+        assert DraftLottery((0.5, 0.0, 0.3, 0.2), 2).uncollectable_types() == (1,)
+
+
+class TestCountLaws:
+    def test_uniform_distinct_is_an_urn_of_singletons(self):
+        for m, g in [(4, 2), (10, 9), (12, 3), (16, 5)]:
+            uniform = UniformDistinct(m, g)
+            urn = WithoutReplacement(Population((1,) * m), g)
+            assert np.array_equal(uniform.avoidance_table(), urn.avoidance_table())
+            uniforms = np.random.default_rng(m * 100 + g).random((4000, g))
+            assert np.array_equal(
+                uniform.draw_groups(uniforms), urn.draw_groups(uniforms)
+            )
+
+    def test_table_equals_single_queries_exactly(self):
+        rng = np.random.default_rng(29)
+        models = [
+            WithoutReplacement(Population(PAPER_COUNTS), g) for g in (1, 2, 15)
+        ]
+        models += [UniformDistinct(6, 3), UniformDistinct(9, 1)]
+        # more individuals than subsets, and far more
+        models.append(WithoutReplacement(Population((3, 10**7, 5, 123456)), 3))
+        for _ in range(10):
+            m = int(rng.integers(1, 9))
+            counts = tuple(int(c) for c in rng.integers(1, 40, size=m))
+            g = int(rng.integers(1, min(6, sum(counts)) + 1))
+            models.append(WithoutReplacement(Population(counts), g))
+        for model in models:
+            table = model.avoidance_table()
+            for mask in range(1 << model.m):
+                assert table[mask] == model.avoidance_probability(mask)
+
+    def test_table_is_correctly_rounded(self):
+        from fractions import Fraction
+
+        model = WithoutReplacement(Population(PAPER_COUNTS), 2)
+        table = model.avoidance_table()
+        for mask in range(1 << 4):
+            excluded = sum(c for i, c in enumerate(PAPER_COUNTS) if mask >> i & 1)
+            exact = Fraction(1)
+            for j in range(2):
+                exact *= Fraction(max(1610 - excluded - j, 0), 1610 - j)
+            assert table[mask] == float(exact)
 
 
 class TestMandelbrotWeights:

@@ -111,6 +111,14 @@ class TestSimulation:
         with pytest.raises(DivergenceError, match="limit"):
             simulate_collection(model, trials=3, seed=0, max_draws=500)
 
+    def test_default_draw_limit_is_read_at_call_time(self, monkeypatch):
+        import couponcollector.oracle as oracle
+
+        monkeypatch.setattr(oracle, "DEFAULT_MAX_DRAWS", 300)
+        model = IidWithinGroup((1.0, 0.0), 1)
+        with pytest.raises(DivergenceError, match="limit of 300;"):
+            simulate_collection(model, trials=3, seed=0)
+
     def test_input_validation(self):
         model = UniformDistinct(3, 2)
         with pytest.raises(InputError):
