@@ -23,8 +23,8 @@ one of two laws:
 - count statistic (``UniformDistinct``, ``WithoutReplacement``): q(S)
   depends only on the excluded count c, the sum of the per-type counts
   over S, through q(c) = P(N - c, g) / P(N, g). ``UniformDistinct`` is an
-  urn of m singletons. Each q(c) is computed in exact integers and
-  rounded once, so the table and single queries agree bit for bit.
+  urn of m singletons. The table and single queries evaluate q(c) the
+  same way, so they agree bit for bit.
 - explicit (mask, weight) table (``WeightedDistinct``, ``DraftLottery``):
   q(S) is the total weight of the listed groups disjoint from S.
 
@@ -215,32 +215,26 @@ class _CountLaw(GroupModel):
 
     Subclasses give the per-type counts as ``_counts``. q(S) depends on S
     only through the excluded count c, the sum of the counts over S:
-    q(c) = P(N - c, g) / P(N, g), a ratio of falling factorials computed in
-    exact integers and rounded once, so every value is correctly rounded.
+    q(c) = P(N - c, g) / P(N, g), evaluated by ``_count_avoidance`` for an
+    array of counts, so a single query and the table agree bit for bit.
     """
 
-    @property
-    def _total(self) -> int:
-        return sum(self._counts)
-
-    def _count_avoidance(self, excluded) -> np.ndarray:
-        """q at each excluded count in ``excluded``."""
-        total, g = self._total, self.g
-        whole = math.perm(total, g)
-        return np.array([math.perm(total - c, g) / whole for c in excluded])
+    def _count_avoidance(self, excluded: np.ndarray) -> np.ndarray:
+        """q at each excluded count, as the g-factor product of (N-c-j)/(N-j)."""
+        total = sum(self._counts)
+        remaining = total - excluded
+        q = np.ones_like(remaining)
+        for j in range(self.g):
+            q *= np.maximum(remaining - j, 0.0) / (total - j)
+        return q
 
     def avoidance_probability(self, subset_mask: int) -> float:
         types = types_of(self._check_mask(subset_mask))
-        return float(self._count_avoidance([sum(self._counts[i] for i in types)])[0])
+        excluded = np.array([sum(self._counts[i] for i in types)], dtype=np.float64)
+        return float(self._count_avoidance(excluded)[0])
 
     def avoidance_table(self) -> np.ndarray:
-        excluded = subset_sums(self._counts).astype(np.int64)
-        if self._total < excluded.size:
-            return self._count_avoidance(range(self._total + 1))[excluded]
-        # N >= 2**m: a table over 0..N would grow with the population, so
-        # round q only at the counts that occur
-        needed, where = np.unique(excluded, return_inverse=True)
-        return self._count_avoidance(needed.tolist())[where]
+        return self._count_avoidance(subset_sums(self._counts))
 
     def uncollectable_types(self) -> tuple[int, ...]:
         return ()
@@ -305,6 +299,17 @@ class UniformDistinct(_CountLaw):
     @property
     def _counts(self) -> tuple[int, ...]:
         return (1,) * self.m
+
+    @cached_property
+    def _per_size(self) -> np.ndarray:
+        whole = math.comb(self.m, self.g)
+        return np.array(
+            [math.comb(self.m - k, self.g) / whole for k in range(self.m + 1)]
+        )
+
+    def _count_avoidance(self, excluded: np.ndarray) -> np.ndarray:
+        # only m + 1 counts occur, so each q is an exact ratio rounded once
+        return self._per_size[excluded.astype(np.int64)]
 
     def describe(self) -> str:
         return f"uniform_distinct(m={self.m}, g={self.g})"
