@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-from datetime import datetime, timezone
 
 from .engine import (
     DEFAULT_EXACT_CAP,
@@ -119,10 +118,8 @@ def cmd_simulate(args) -> int:
 
 def _write_csv(description: str, seed, header, rows, out_path):
     buf = io.StringIO()
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     buf.write(f"# model: {description}\n")
     buf.write(f"# seed: {seed}\n")
-    buf.write(f"# timestamp: {stamp}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

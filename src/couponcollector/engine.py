@@ -11,34 +11,57 @@ never avoid (q(S) = 0) contribute a bare (-1)**(|S|+1); keeping them in
 the sum reproduces the trailing binomial correction of the distinct-group
 closed form without a special case.
 
-The sum alternates and can cancel heavily, so terms are accumulated with
-exact compensated summation in increasing-bitmask order and every result
-carries a cancellation-ratio diagnostic.
+Count-statistic laws (``UniformDistinct``, ``WithoutReplacement``) have
+q(S) = q(c) for the excluded count c, the sum of the type counts over S,
+so every subset with count c has the term (-1)**(|S|+1) * t_c with
+t_c = 1 / (1 - q(c)). Their sum runs over the distinct excluded counts,
+at most N + 1 of them for a population of N: E = -sum over c >= 1 of
+a_c * t_c, with a_c the coefficient of x**c in prod(1 - x**n_i). Each
+product a_c * t_c is split into floats that sum to it exactly, so the
+value is the correctly rounded sum of the 2**m terms, in
+O(min(N + 1, 2**m)) memory. Every other model sums the 2**m terms of its
+q(S) table. The cap on m (``DEFAULT_EXACT_CAP``) holds for every model,
+and ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
+
+The sum alternates and can cancel heavily, and every result carries a
+cancellation-ratio diagnostic. The 2**m table terms are added in
+increasing-bitmask order with ``math.fsum``: correctly rounded up to
+2**20 terms; above that each chunk of 2**20 terms is rounded once and the
+chunk sums are added with one more rounding.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-from ._bits import popcounts, types_of
+from ._bits import popcounts, subset_sum_classes, types_of
 from .errors import CapacityError, DivergenceError, InputError
 from .models import (
     GroupModel,
     Population,
     WithoutReplacement,
     _check_collectable,
+    _CountLaw,
     _validated_probabilities,
 )
 
 DEFAULT_EXACT_CAP = 24
 
 _FSUM_CHUNK = 1 << 20
+# count classes per block of the count path: the temporaries stay small,
+# and fsum reads one block's floats at a time instead of one list of all
+_CLASS_CHUNK = 1 << 16
 
 
 def _compensated_sum(terms: np.ndarray) -> float:
-    """Exactly rounded sum over fixed-size chunks (deterministic reduction)."""
+    """Sum of float terms, correctly rounded for up to ``_FSUM_CHUNK`` terms.
+
+    Longer arrays are summed in fixed chunks: each chunk's sum is rounded,
+    then the sum of those, so the result is deterministic but can differ from
+    the correctly rounded sum in the last place.
+    """
     if terms.size <= _FSUM_CHUNK:
         return math.fsum(terms.tolist())
     partials = [
@@ -78,6 +101,8 @@ def inclusion_exclusion_expectation(
     m = model.m
     _check_capacity(m, exact_cap)
     _check_collectable(model)
+    if isinstance(model, _CountLaw):
+        return _count_law_expectation(model)
     q = model.avoidance_table()
     denominators = 1.0 - q[1:]
     stuck = np.nonzero(denominators <= 0.0)[0]
@@ -100,6 +125,55 @@ def inclusion_exclusion_expectation(
         terms_evaluated=(1 << m) - 1,
         cancellation_ratio=abs_sum / abs(value),
         truncated_at=truncated_at,
+    )
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: x = hi + lo, each on at most 26 significant bits."""
+    c = x * 134217729.0  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _exact_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Nonzero floats whose exact sum is the sum of the products a * t.
+
+    Dekker's two-product: each product a*t is its rounded value p plus the
+    rounding error, which the split halves give exactly because their
+    pairwise products need at most 52 bits. ``a`` must be exact in float64.
+    """
+    p = a * t
+    a_hi, a_lo = _split(a)
+    t_hi, t_lo = _split(t)
+    error = a_lo * t_lo - (((p - a_hi * t_hi) - a_lo * t_hi) - a_hi * t_lo)
+    parts = np.concatenate([p, error])
+    return parts[parts != 0.0]
+
+
+def _count_law_expectation(model: _CountLaw) -> ExpectationResult:
+    """The master sum over distinct excluded counts c (module docstring).
+
+    a_c and b_c are the signed and unsigned numbers of subsets with count
+    c, so -sum a_c * t_c is the value and sum b_c * t_c the sum of |term|.
+    """
+    excluded, signed, total = subset_sum_classes(model._counts)
+    pieces, abs_sums = [], []
+    # c = 0 is only the empty set, which is not a term
+    for lo in range(1, excluded.size, _CLASS_CHUNK):
+        block = slice(lo, lo + _CLASS_CHUNK)
+        t = 1.0 / (1.0 - model._count_avoidance(excluded[block]))
+        pieces.append(_exact_products(-signed[block].astype(np.float64), t))
+        abs_sums.append(float((total[block] * t).sum()))
+    value = math.fsum(chain.from_iterable(piece.tolist() for piece in pieces))
+    abs_sum = math.fsum(abs_sums)
+    # q falls as c grows, so the largest k-subset with q > 0 holds the k
+    # smallest counts
+    smallest = np.cumsum(np.sort(np.asarray(model._counts, dtype=np.float64)))
+    return ExpectationResult(
+        value=value,
+        terms_evaluated=(1 << model.m) - 1,
+        cancellation_ratio=abs_sum / abs(value),
+        truncated_at=int(np.count_nonzero(model._count_avoidance(smallest) > 0.0)),
     )
 
 

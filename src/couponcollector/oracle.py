@@ -126,8 +126,10 @@ def simulate_collection(
     ``workers`` only partitions the trial range across threads and cannot
     change the result because each trial owns a fixed generator stream.
     ``max_draws`` caps the groups one trial may draw (default
-    ``DEFAULT_MAX_DRAWS``, read at call time).
+    ``DEFAULT_MAX_DRAWS``, read at call time). A model with a type that no
+    group contains fails at once, before any draw.
     """
+    _check_collectable(model)
     trials = int(trials)
     if trials < 1:
         raise InputError("trials must be at least 1")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from couponcollector._bits import (
     mask_of,
     popcounts,
+    subset_sum_classes,
     subset_sums,
     subset_zeta,
     types_of,
@@ -25,6 +26,24 @@ def test_subset_sums_matches_brute_force():
     for mask in range(16):
         expected = sum(values[i] for i in types_of(mask))
         assert table[mask] == pytest.approx(expected, abs=1e-15)
+
+
+def test_subset_sum_classes_match_brute_force():
+    counts = (3, 1, 2, 3, 1, 4)
+    signed, total = {}, {}
+    for mask in range(1 << len(counts)):
+        c = sum(counts[i] for i in types_of(mask))
+        signed[c] = signed.get(c, 0) + (-1) ** mask.bit_count()
+        total[c] = total.get(c, 0) + 1
+    sums, got_signed, got_total = subset_sum_classes(counts)
+    assert sums.tolist() == sorted(signed)
+    assert got_signed.tolist() == [signed[c] for c in sorted(signed)]
+    assert got_total.tolist() == [total[c] for c in sorted(total)]
+
+
+def test_subset_sum_classes_reject_inexact_multiplicities():
+    with pytest.raises(ValueError):
+        subset_sum_classes((1,) * 53)
 
 
 def test_popcounts():

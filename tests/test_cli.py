@@ -153,6 +153,19 @@ class TestFigureGSweep:
         assert float(rows[0][1]) == pytest.approx(float(rows[0][3]), rel=1e-9)
         assert round(float(rows[1][1]), 1) == 81.5
 
+    def test_runs_write_identical_bytes(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["figure", "g-sweep", "--out", str(first)]) == 0
+        assert main(["figure", "g-sweep", "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        comments = [
+            line for line in first.read_text().splitlines() if line.startswith("#")
+        ]
+        assert comments == [
+            "# model: without_replacement(counts=(10, 100, 500, 1000)), g=1..15",
+            "# seed: 0",
+        ]
+
     def test_round_trip_at_17_digits(self, capsys):
         assert main(["figure", "g-sweep", "--g-range", "1..4"]) == 0
         _, rows = _read_csv(capsys.readouterr().out)

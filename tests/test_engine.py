@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from couponcollector import (
     WithoutReplacement,
     first_occurrence_expectation,
     inclusion_exclusion_expectation,
+    mandelbrot_weights,
+    population_from_weights,
     sampling_expectation,
     single_arrival_expectation,
     uniform_group_expectation,
     uniform_single_expectation,
 )
+from couponcollector._bits import mask_of, popcounts
 from conftest import random_model
 
 PAPER_COUNTS = (10, 100, 500, 1000)
@@ -119,6 +123,66 @@ class TestMasterSum:
         model = WeightedDistinct(3, 2, (1.0, 0.0, 0.0))
         with pytest.raises(DivergenceError):
             inclusion_exclusion_expectation(model)
+
+
+class TestCountPath:
+    """Count laws sum over distinct excluded counts; the reference is the
+    2**m subset terms built from ``avoidance_table()``, as the lattice does."""
+
+    @staticmethod
+    def _lattice(model):
+        q = model.avoidance_table()[1:]
+        sizes = popcounts(model.m)[1:]
+        terms = np.where(sizes % 2 == 1, 1.0, -1.0) / (1.0 - q)
+        contributing = sizes[q > 0.0]
+        truncated_at = int(contributing.max()) if contributing.size else 0
+        return terms, truncated_at
+
+    def _check(self, model):
+        terms, truncated_at = self._lattice(model)
+        value = math.fsum(terms.tolist())
+        ratio = float(np.abs(terms).sum()) / abs(value)
+        result = inclusion_exclusion_expectation(model)
+        assert result.value == value
+        assert abs(result.cancellation_ratio - ratio) <= 4 * math.ulp(ratio)
+        assert result.truncated_at == truncated_at
+        assert result.terms_evaluated == terms.size
+
+    def test_random_populations_match_lattice_sum(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            m = int(rng.integers(1, 21))
+            top = int(rng.choice([2, 30, 1000, 10**6]))
+            counts = tuple(int(c) for c in rng.integers(1, top + 1, size=m))
+            g = int(rng.integers(1, min(12, sum(counts)) + 1))
+            self._check(WithoutReplacement(Population(counts), g))
+
+    def test_uniform_distinct_matches_lattice_sum(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            m = int(rng.integers(2, 21))
+            self._check(UniformDistinct(m, int(rng.integers(1, m))))
+
+    def test_m22_is_the_unchunked_fsum(self):
+        # the lattice rounds each chunk of 2**20 terms; this sum does not
+        weights = mandelbrot_weights(22, 0.30, 1.75)
+        model = WithoutReplacement(population_from_weights(weights, 1000), 2)
+        terms, _ = self._lattice(model)
+        value = inclusion_exclusion_expectation(model).value
+        assert value == math.fsum(terms.tolist())
+
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_large_multiplicities_sum_exactly(self, g):
+        # |a_c| = C(30, k) reaches 1.55e8 > 2**26, so a_c * t_c needs
+        # both factors split; g = 4 also catches a split of t_c alone
+        m = 30
+        model = UniformDistinct(m, g)
+        exact = Fraction(0)
+        for k in range(1, m + 1):
+            t = 1.0 / (1.0 - model.avoidance_probability(mask_of(range(k))))
+            exact += (-1) ** (k + 1) * math.comb(m, k) * Fraction(t)
+        value = inclusion_exclusion_expectation(model, exact_cap=m).value
+        assert value == float(exact)
 
 
 class TestSpecializations:

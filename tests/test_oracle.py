@@ -106,18 +106,26 @@ class TestSimulation:
         half = estimate.ci_high - estimate.mean
         assert half == pytest.approx(1.959963984540054 * estimate.std_error)
 
+    # collectable, but type 1 shows up once in about 1e15 draws
+    RARE_TYPE = IidWithinGroup((1 - 1e-15, 1e-15), 1)
+
     def test_draw_limit_divergence(self):
-        model = IidWithinGroup((1.0, 0.0), 1)
         with pytest.raises(DivergenceError, match="limit"):
-            simulate_collection(model, trials=3, seed=0, max_draws=500)
+            simulate_collection(self.RARE_TYPE, trials=3, seed=0, max_draws=500)
 
     def test_default_draw_limit_is_read_at_call_time(self, monkeypatch):
         import couponcollector.oracle as oracle
 
         monkeypatch.setattr(oracle, "DEFAULT_MAX_DRAWS", 300)
-        model = IidWithinGroup((1.0, 0.0), 1)
         with pytest.raises(DivergenceError, match="limit of 300;"):
+            simulate_collection(self.RARE_TYPE, trials=3, seed=0)
+
+    def test_uncollectable_type_fails_before_drawing(self):
+        # with the default limit of 10M draws per trial this would spin
+        model = IidWithinGroup((1.0, 0.0), 1)
+        with pytest.raises(DivergenceError, match="type 1 never appears") as err:
             simulate_collection(model, trials=3, seed=0)
+        assert err.value.subset_mask == 0b10
 
     def test_input_validation(self):
         model = UniformDistinct(3, 2)
