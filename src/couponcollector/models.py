@@ -510,6 +510,11 @@ class DraftLottery(_ExplicitLaw):
         group_weights = prefix[masks_k]
         return masks_k, group_weights / math.fsum(group_weights.tolist())
 
+    def uncollectable_types(self) -> tuple[int, ...]:
+        # at least g types have p > 0, so each of them is drawn first into
+        # some group of positive weight; the group law is not needed
+        return tuple(i for i, pi in enumerate(self.p) if pi == 0.0)
+
     @property
     def uniforms_per_group(self) -> int:
         return self.g

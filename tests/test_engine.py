@@ -171,6 +171,18 @@ class TestCountPath:
         value = inclusion_exclusion_expectation(model).value
         assert value == math.fsum(terms.tolist())
 
+    @pytest.mark.parametrize(
+        "counts, mask", [((10**17, 1), 0b10), ((2, 1, 10**17), 0b001)]
+    )
+    def test_population_above_2_53_diverges(self, counts, mask):
+        # (N - c) / N rounds to 1 for small c, so q(S) = 1 in floats; the
+        # reported subset is the lattice's first mask with q = 1
+        model = WithoutReplacement(Population(counts), 2)
+        with pytest.raises(DivergenceError, match="jointly avoided") as err:
+            inclusion_exclusion_expectation(model)
+        assert err.value.subset_mask == mask
+        assert np.flatnonzero(model.avoidance_table()[1:] >= 1.0)[0] + 1 == mask
+
     @pytest.mark.parametrize("g", [2, 4])
     def test_large_multiplicities_sum_exactly(self, g):
         # |a_c| = C(30, k) reaches 1.55e8 > 2**26, so a_c * t_c needs

@@ -4,6 +4,7 @@ import pytest
 from couponcollector import (
     CapacityError,
     DivergenceError,
+    DraftLottery,
     IidWithinGroup,
     InputError,
     Population,
@@ -126,6 +127,20 @@ class TestSimulation:
         with pytest.raises(DivergenceError, match="type 1 never appears") as err:
             simulate_collection(model, trials=3, seed=0)
         assert err.value.subset_mask == 0b10
+
+    def test_draft_lottery_beyond_exact_cap_skips_group_law(self, monkeypatch):
+        # the draws use p alone; at m=40 the group law needs 2**40 entries
+        def unbuilt(model):
+            raise AssertionError("the group law was built")
+
+        monkeypatch.setattr(DraftLottery, "_group_law", property(unbuilt))
+        estimate = simulate_collection(DraftLottery((1 / 40,) * 40, 2), trials=5, seed=0)
+        assert estimate.mean > 40 / 2
+
+    def test_draft_lottery_zero_probability_type_is_uncollectable(self):
+        model = DraftLottery((0.5, 0.5, 0.0), 2)
+        with pytest.raises(DivergenceError, match="type 2 never appears"):
+            simulate_collection(model, trials=3, seed=0)
 
     def test_input_validation(self):
         model = UniformDistinct(3, 2)
