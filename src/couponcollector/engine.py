@@ -17,22 +17,19 @@ so every subset with count c has the term (-1)**(|S|+1) * t_c with
 t_c = 1 / (1 - q(c)). Their sum runs over the distinct excluded counts,
 at most N + 1 of them for a population of N: E = -sum over c >= 1 of
 a_c * t_c, with a_c the coefficient of x**c in prod(1 - x**n_i). Each
-product a_c * t_c is split into floats that sum to it exactly, so the
-value is the correctly rounded sum of the 2**m terms, in
-O(min(N + 1, 2**m)) memory. Every other model sums the 2**m terms of its
-q(S) table. The cap on m (``DEFAULT_EXACT_CAP``) holds for every model,
+product a_c * t_c is split into floats that sum to it exactly, in
+O(min(N + 1, 2**m)) memory. Every other model walks the 2**m entries of
+its q(S) table in blocks. Both kinds feed their exact pieces, block by
+block, into one ``math.fsum``, so for every model the value is the
+correctly rounded sum of the 2**m subset terms. The sum alternates and
+can cancel heavily, and every result carries a cancellation-ratio
+diagnostic. The cap on m (``DEFAULT_EXACT_CAP``) holds for every model,
 and ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
-
-The sum alternates and can cancel heavily, and every result carries a
-cancellation-ratio diagnostic. The 2**m table terms are added in
-increasing-bitmask order with ``math.fsum``: correctly rounded up to
-2**20 terms; above that each chunk of 2**20 terms is rounded once and the
-chunk sums are added with one more rounding.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -49,28 +46,11 @@ from .models import (
 
 DEFAULT_EXACT_CAP = 24
 
-_FSUM_CHUNK = 1 << 20
-# count classes per block of the count path: the temporaries stay small,
-# and fsum reads one block's floats at a time instead of one list of all.
-# At m = 24, N = 10**8 (about 2**24 classes) one pass peaked at 962 MB and
-# took 4.5 s; in blocks, 399 MB and 2.3 s
-_CLASS_CHUNK = 1 << 16
-
-
-def _compensated_sum(terms: np.ndarray) -> float:
-    """Sum of float terms, correctly rounded for up to ``_FSUM_CHUNK`` terms.
-
-    Longer arrays are summed in fixed chunks: each chunk's sum is rounded,
-    then the sum of those, so the result is deterministic but can differ from
-    the correctly rounded sum in the last place.
-    """
-    if terms.size <= _FSUM_CHUNK:
-        return math.fsum(terms.tolist())
-    partials = [
-        math.fsum(terms[i : i + _FSUM_CHUNK].tolist())
-        for i in range(0, terms.size, _FSUM_CHUNK)
-    ]
-    return math.fsum(partials)
+# masks or count classes per block: the temporaries stay small, and fsum
+# reads one block's floats at a time instead of one list of all. At
+# m = 24, N = 10**8 (about 2**24 count classes) one pass peaked at 962 MB
+# and took 4.5 s; in blocks, 399 MB and 2.3 s
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -108,29 +88,49 @@ def inclusion_exclusion_expectation(
     model: GroupModel, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> ExpectationResult:
     """Expected number of groups to observe every type at least once."""
-    m = model.m
-    _check_capacity(m, exact_cap)
+    _check_capacity(model.m, exact_cap)
     _check_collectable(model)
-    if isinstance(model, _CountLaw):
-        return _count_law_expectation(model)
-    q = model.avoidance_table()
-    denominators = 1.0 - q[1:]
-    stuck = np.nonzero(denominators <= 0.0)[0]
-    if stuck.size:
-        _raise_stuck(int(stuck[0]) + 1)
-    sizes = popcounts(m)[1:]
-    signs = np.where(sizes % 2 == 1, 1.0, -1.0)
-    terms = signs / denominators
-    value = _compensated_sum(terms)
-    abs_sum = float(np.abs(terms).sum())
-    contributing = sizes[q[1:] > 0.0]
-    truncated_at = int(contributing.max()) if contributing.size else 0
+    source = _count_law_blocks if isinstance(model, _CountLaw) else _lattice_blocks
+    truncated_at, blocks = source(model)
+    abs_sums = []
+
+    def pieces():
+        for block_pieces, magnitudes in blocks:
+            abs_sums.append(float(magnitudes.sum()))
+            yield from block_pieces.tolist()
+
+    value = math.fsum(pieces())
     return ExpectationResult(
         value=value,
-        terms_evaluated=(1 << m) - 1,
-        cancellation_ratio=abs_sum / abs(value),
+        terms_evaluated=(1 << model.m) - 1,
+        cancellation_ratio=math.fsum(abs_sums) / abs(value),
         truncated_at=truncated_at,
     )
+
+
+def _lattice_blocks(model: GroupModel):
+    """``truncated_at`` and the (terms, |terms|) blocks of the q(S) table."""
+    q = model.avoidance_table()
+    stuck = np.flatnonzero(q[1:] >= 1.0)
+    if stuck.size:
+        _raise_stuck(int(stuck[0]) + 1)
+    low = popcounts(min(model.m, _BLOCK_BITS))
+    signs = np.where(low % 2 == 1, 1.0, -1.0)
+    truncated_at = 0
+    for lo in range(0, q.size, low.size):
+        contributing = low[q[lo : lo + low.size] > 0.0]
+        if contributing.size:
+            truncated_at = max(truncated_at, lo.bit_count() + int(contributing.max()))
+
+    def blocks():
+        for lo in range(0, q.size, low.size):
+            first = 1 if lo == 0 else 0  # mask 0 (q = 1) is not a term
+            t = 1.0 / (1.0 - q[lo + first : lo + low.size])
+            # an aligned block's masks share their high bits, which flip signs
+            sign = -signs[first:] if lo.bit_count() % 2 else signs[first:]
+            yield sign * t, t
+
+    return truncated_at, blocks()
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +155,8 @@ def _exact_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return parts[parts != 0.0]
 
 
-def _count_law_expectation(model: _CountLaw) -> ExpectationResult:
-    """The master sum over distinct excluded counts c (module docstring).
+def _count_law_blocks(model: _CountLaw):
+    """``truncated_at`` and the blocks of the sum over excluded counts c.
 
     a_c and b_c are the signed and unsigned numbers of subsets with count
     c, so -sum a_c * t_c is the value and sum b_c * t_c the sum of |term|.
@@ -166,6 +166,11 @@ def _count_law_expectation(model: _CountLaw) -> ExpectationResult:
     leaves at most twice the distinct sums.
     """
     counts = model._counts
+    if len(counts) > 53:  # subset_sum_classes takes all counts but the last
+        raise CapacityError(
+            f"m={len(counts)} exceeds the 53-type limit of count-statistic laws "
+            f"(subset multiplicities pass 2**53); use the Monte Carlo oracle"
+        )
     # q(c) < 1 for c >= 1 in exact arithmetic, but (N - c) / N rounds to 1
     # once N passes 2**53. q falls as c grows (each factor, and its
     # rounding, is monotone), so q(S) = 1 for some S exactly when it does
@@ -179,21 +184,16 @@ def _count_law_expectation(model: _CountLaw) -> ExpectationResult:
     smallest = np.cumsum(np.sort(np.asarray(counts, dtype=np.float64)))
     truncated_at = int(np.count_nonzero(model._count_avoidance(smallest) > 0.0))
     sums, signed, total = subset_sum_classes(counts[:-1])
-    pieces, abs_sums = [], []
-    # without the last type c = 0 is only the empty set, which is not a term
-    for shift, sign, first in ((0, -1.0, 1), (counts[-1], 1.0, 0)):
-        for lo in range(first, sums.size, _CLASS_CHUNK):
-            block = slice(lo, lo + _CLASS_CHUNK)
-            t = 1.0 / (1.0 - model._count_avoidance(sums[block] + shift))
-            pieces.append(_exact_products(sign * signed[block], t))
-            abs_sums.append(float((total[block] * t).sum()))
-    value = math.fsum(chain.from_iterable(piece.tolist() for piece in pieces))
-    return ExpectationResult(
-        value=value,
-        terms_evaluated=(1 << model.m) - 1,
-        cancellation_ratio=math.fsum(abs_sums) / abs(value),
-        truncated_at=truncated_at,
-    )
+
+    def blocks():
+        # without the last type c = 0 is only the empty set, not a term
+        for shift, sign, first in ((0, -1.0, 1), (counts[-1], 1.0, 0)):
+            for lo in range(first, sums.size, 1 << _BLOCK_BITS):
+                block = slice(lo, lo + (1 << _BLOCK_BITS))
+                t = 1.0 / (1.0 - model._count_avoidance(sums[block] + shift))
+                yield _exact_products(sign * signed[block], t), total[block] * t
+
+    return truncated_at, blocks()
 
 
 def uniform_single_expectation(m: int) -> float:

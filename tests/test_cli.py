@@ -81,6 +81,11 @@ class TestExitCodes:
         )
         assert main(["exact", "--model", path, "--exact-cap", "11"]) == 3
 
+    def test_count_law_above_53_types(self, model_file, capsys):
+        path = model_file({"model": "uniform_distinct", "g": 2, "m": 54})
+        assert main(["exact", "--model", path, "--exact-cap", "60"]) == 3
+        assert "53-type limit" in capsys.readouterr().err
+
     def test_divergence_error(self, model_file, capsys):
         path = model_file({"model": "iid_within_group", "g": 2, "p": [0.5, 0.5, 0.0]})
         assert main(["exact", "--model", path]) == 3

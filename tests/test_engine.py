@@ -7,6 +7,7 @@ import pytest
 from couponcollector import (
     CapacityError,
     DivergenceError,
+    DraftLottery,
     IidWithinGroup,
     InputError,
     Population,
@@ -113,6 +114,18 @@ class TestMasterSum:
             inclusion_exclusion_expectation(model, exact_cap=10)
         inclusion_exclusion_expectation(model, exact_cap=11)
 
+    def test_count_laws_stop_at_53_types(self):
+        # checked before the class build, which could not hold the
+        # multiplicities exactly
+        for model in (
+            UniformDistinct(54, 2),
+            WithoutReplacement(Population((1,) * 54), 2),
+        ):
+            with pytest.raises(CapacityError, match="53-type limit"):
+                inclusion_exclusion_expectation(model, exact_cap=60)
+        result = inclusion_exclusion_expectation(UniformDistinct(53, 2), exact_cap=53)
+        assert result.terms_evaluated == (1 << 53) - 1
+
     def test_divergence_reports_offending_type(self):
         model = IidWithinGroup((0.5, 0.5, 0.0), 2)
         with pytest.raises(DivergenceError) as err:
@@ -125,28 +138,32 @@ class TestMasterSum:
             inclusion_exclusion_expectation(model)
 
 
+def _lattice(model):
+    """The 2**m - 1 subset terms built from ``avoidance_table()`` and the
+    largest subset size with q > 0."""
+    q = model.avoidance_table()[1:]
+    sizes = popcounts(model.m)[1:]
+    terms = np.where(sizes % 2 == 1, 1.0, -1.0) / (1.0 - q)
+    contributing = sizes[q > 0.0]
+    truncated_at = int(contributing.max()) if contributing.size else 0
+    return terms, truncated_at
+
+
+def _check_against_lattice(model):
+    terms, truncated_at = _lattice(model)
+    value = math.fsum(terms.tolist())
+    ratio = float(np.abs(terms).sum()) / abs(value)
+    result = inclusion_exclusion_expectation(model)
+    assert result.value == value
+    assert abs(result.cancellation_ratio - ratio) <= 4 * math.ulp(ratio)
+    assert result.truncated_at == truncated_at
+    assert result.terms_evaluated == terms.size
+    return result
+
+
 class TestCountPath:
     """Count laws sum over distinct excluded counts; the reference is the
-    2**m subset terms built from ``avoidance_table()``, as the lattice does."""
-
-    @staticmethod
-    def _lattice(model):
-        q = model.avoidance_table()[1:]
-        sizes = popcounts(model.m)[1:]
-        terms = np.where(sizes % 2 == 1, 1.0, -1.0) / (1.0 - q)
-        contributing = sizes[q > 0.0]
-        truncated_at = int(contributing.max()) if contributing.size else 0
-        return terms, truncated_at
-
-    def _check(self, model):
-        terms, truncated_at = self._lattice(model)
-        value = math.fsum(terms.tolist())
-        ratio = float(np.abs(terms).sum()) / abs(value)
-        result = inclusion_exclusion_expectation(model)
-        assert result.value == value
-        assert abs(result.cancellation_ratio - ratio) <= 4 * math.ulp(ratio)
-        assert result.truncated_at == truncated_at
-        assert result.terms_evaluated == terms.size
+    2**m subset terms built from ``avoidance_table()``."""
 
     def test_random_populations_match_lattice_sum(self):
         rng = np.random.default_rng(23)
@@ -155,19 +172,19 @@ class TestCountPath:
             top = int(rng.choice([2, 30, 1000, 10**6]))
             counts = tuple(int(c) for c in rng.integers(1, top + 1, size=m))
             g = int(rng.integers(1, min(12, sum(counts)) + 1))
-            self._check(WithoutReplacement(Population(counts), g))
+            _check_against_lattice(WithoutReplacement(Population(counts), g))
 
     def test_uniform_distinct_matches_lattice_sum(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
             m = int(rng.integers(2, 21))
-            self._check(UniformDistinct(m, int(rng.integers(1, m))))
+            _check_against_lattice(UniformDistinct(m, int(rng.integers(1, m))))
 
     def test_m22_is_the_unchunked_fsum(self):
-        # the lattice rounds each chunk of 2**20 terms; this sum does not
+        # past 2**20 terms the sum is still rounded once, not per chunk
         weights = mandelbrot_weights(22, 0.30, 1.75)
         model = WithoutReplacement(population_from_weights(weights, 1000), 2)
-        terms, _ = self._lattice(model)
+        terms, _ = _lattice(model)
         value = inclusion_exclusion_expectation(model).value
         assert value == math.fsum(terms.tolist())
 
@@ -195,6 +212,33 @@ class TestCountPath:
             exact += (-1) ** (k + 1) * math.comb(m, k) * Fraction(t)
         value = inclusion_exclusion_expectation(model, exact_cap=m).value
         assert value == float(exact)
+
+
+class TestLatticePath:
+    """Explicit and i.i.d. laws walk their q(S) table in blocks of 2**16
+    masks; m = 17..18 puts the terms in more than one block."""
+
+    def test_random_models_match_lattice_sum(self):
+        rng = np.random.default_rng(25)
+        for _ in range(3):
+            m = int(rng.integers(17, 19))
+            g = int(rng.integers(1, 4))
+            w = rng.uniform(0.1, 1.0, size=math.comb(m, g))
+            p = rng.uniform(0.1, 1.0, size=m)
+            weighted = WeightedDistinct(m, g, tuple(w / w.sum()))
+            # every group has positive weight, so q(S) > 0 up to |S| = m - g
+            assert _check_against_lattice(weighted).truncated_at == m - g
+            _check_against_lattice(IidWithinGroup(tuple(p / p.sum()), g))
+            _check_against_lattice(DraftLottery(tuple(p / p.sum()), g))
+
+    def test_m22_iid_is_the_correctly_rounded_fsum(self):
+        # a sum rounded per chunk of 2**20 terms gives ...976
+        weights = mandelbrot_weights(22, 0.30, 1.75)
+        counts = population_from_weights(weights, 1000).counts
+        model = IidWithinGroup(tuple(c / 1000 for c in counts), 3)
+        terms, _ = _lattice(model)
+        value = inclusion_exclusion_expectation(model).value
+        assert value == math.fsum(terms.tolist()) == 229.83707876017974
 
 
 class TestSpecializations:
