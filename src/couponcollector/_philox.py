@@ -1,9 +1,9 @@
-"""Vectorized Philox4x64-10 counter-based random streams.
+"""Counter-based Philox4x64-10 random streams, one per trial.
 
 The simulation's randomness contract (documented constants; changing any
 of them is a breaking change):
 
-- Generator: Philox4x64 with 10 rounds, identical to ``numpy.random.Philox``.
+- Generator: Philox4x64 with 10 rounds, ``numpy.random.Philox``.
 - Key: ``(seed, 0)`` where ``seed`` is the user's 64-bit seed.
 - Stream for trial ``t``: the word sequence emitted by
   ``numpy.random.Philox(key=seed, counter=[0, 0, t, 0])``.
@@ -12,80 +12,42 @@ of them is a breaking change):
 - A group draw of d uniforms consumes stream positions
   ``[draw_index * d, (draw_index + 1) * d)``.
 
-This module reimplements block generation so that words for many trials
-and many blocks can be produced in one vectorized call; equality with
-numpy's Philox is asserted in the test suite.
+The uniforms come from numpy's own C Philox and ``Generator.random``,
+which applies that conversion. A stream is addressed by its counter, so
+any span of any trial's stream is read without generating what precedes it.
 """
 
 import numpy as np
-
-_M0 = 0xD2E7470EE14C6C93
-_M1 = 0xCA5A826395121157
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
-
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_SHIFT11 = np.uint64(11)
-
-UNIFORM_SCALE = 2.0**-53
-
-
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit product of a constant and a uint64 array, as (high, low) words."""
-    a = np.uint64(a)
-    a_lo = a & _MASK32
-    a_hi = a >> _SHIFT32
-    b_lo = b & _MASK32
-    b_hi = b >> _SHIFT32
-    lo = a * b  # wraps mod 2**64
-    t = a_lo * b_lo
-    t1 = a_hi * b_lo + (t >> _SHIFT32)
-    t2 = a_lo * b_hi + (t1 & _MASK32)
-    hi = a_hi * b_hi + (t1 >> _SHIFT32) + (t2 >> _SHIFT32)
-    return hi, lo
-
-
-def philox_words(seed: int, c0, c2) -> np.ndarray:
-    """Philox4x64-10 output for counters (c0, 0, c2, 0) under key (seed, 0).
-
-    ``c0`` and ``c2`` broadcast against each other; the result gains a
-    trailing axis of length 4 holding the block's output words in order.
-    """
-    with np.errstate(over="ignore"):
-        c0 = np.asarray(c0, dtype=np.uint64)
-        c2 = np.asarray(c2, dtype=np.uint64)
-        shape = np.broadcast_shapes(c0.shape, c2.shape)
-        x0 = np.broadcast_to(c0, shape).copy()
-        x1 = np.zeros(shape, dtype=np.uint64)
-        x2 = np.broadcast_to(c2, shape).copy()
-        x3 = np.zeros(shape, dtype=np.uint64)
-        k0 = np.uint64(seed)
-        k1 = np.uint64(0)
-        w0 = np.uint64(_W0)
-        w1 = np.uint64(_W1)
-        for r in range(10):
-            hi0, lo0 = _mulhilo(_M0, x0)
-            hi1, lo1 = _mulhilo(_M1, x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-            if r < 9:
-                k0 = k0 + w0
-                k1 = k1 + w1
-    return np.stack([x0, x1, x2, x3], axis=-1)
 
 
 def uniform_span(seed: int, trials: np.ndarray, first: int, count: int) -> np.ndarray:
     """Uniform doubles at stream positions [first, first + count) per trial.
 
-    numpy's Philox increments its counter before producing a block, so
-    block b of a stream seeded with counter (0, 0, t, 0) is the Philox
-    function at counter (b + 1, 0, t, 0). Returns shape (len(trials), count).
+    numpy's Philox increments its counter before producing a block, so a
+    generator set to counter (b, 0, t, 0) next emits block b of trial t's
+    stream. One generator is pointed at each trial in turn and fills that
+    trial's row from the start of the block holding position ``first``.
+    Returns shape (len(trials), count).
     """
-    trials = np.asarray(trials, dtype=np.uint64)
-    lo_block = first >> 2
-    hi_block = (first + count - 1) >> 2
-    blocks = np.arange(lo_block + 1, hi_block + 2, dtype=np.uint64)
-    words = philox_words(seed, blocks[np.newaxis, :], trials[:, np.newaxis])
-    flat = words.reshape(len(trials), -1)
-    offset = first - 4 * lo_block
-    return (flat[:, offset : offset + count] >> _SHIFT11) * UNIFORM_SCALE
+    first_block = first >> 2
+    offset = first - 4 * first_block
+    ids = np.asarray(trials, dtype=np.uint64).tolist()
+    rows = np.empty((len(ids), offset + count))
+    bit_gen = np.random.Philox(key=seed)
+    generator = np.random.Generator(bit_gen)
+    counter = [first_block, 0, 0, 0]
+    # numpy's documented state layout; the setter runs once per trial and
+    # reads plain lists faster than the arrays ``bit_gen.state`` returns
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": [seed, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for row, trial in zip(rows, ids):
+        counter[2] = trial
+        bit_gen.state = state
+        generator.random(out=row)
+    return rows[:, offset:]

@@ -29,7 +29,7 @@ and ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -94,12 +94,12 @@ def inclusion_exclusion_expectation(
     truncated_at, blocks = source(model)
     abs_sums = []
 
-    def pieces():
+    def piece_lists():
         for block_pieces, magnitudes in blocks:
             abs_sums.append(float(magnitudes.sum()))
-            yield from block_pieces.tolist()
+            yield block_pieces.tolist()
 
-    value = math.fsum(pieces())
+    value = math.fsum(chain.from_iterable(piece_lists()))
     return ExpectationResult(
         value=value,
         terms_evaluated=(1 << model.m) - 1,

@@ -63,21 +63,40 @@ class ChainSolution:
     state_values: np.ndarray
 
 
-# Active trials advance in batches of draws; this bounds the number of
-# (trial, draw) pairs processed per pass so temporaries stay modest.
+# Trials are simulated in tiles. The active trials of a tile read spans of
+# their streams of clamp(draws done, _FILL_MIN_DRAWS, _FILL_MAX_DRAWS) draws,
+# one fill per trial, so a short trial reads one small span and a long one a
+# few large spans. The spans are mapped to groups in lockstep passes of
+# _PASS_DRAWS draws, so a finished trial stops costing group draws within
+# _PASS_DRAWS of its end. A tile's spans hold at most _BATCH_ELEMENTS uniforms.
 _BATCH_ELEMENTS = 1 << 19
-_BATCH_MAX_DRAWS = 128
+_FILL_MIN_DRAWS = 64
+_FILL_MAX_DRAWS = 512
+_PASS_DRAWS = 32
 
 
 def _simulate_range(
     model: GroupModel, lo: int, hi: int, seed: int, max_draws: int
 ) -> np.ndarray:
-    """Group counts for trials lo .. hi-1, advanced in lockstep batches.
+    """Group counts for trials lo .. hi-1, one tile of trials at a time."""
+    tile = max(1, _BATCH_ELEMENTS // (_FILL_MAX_DRAWS * model.uniforms_per_group))
+    return np.concatenate(
+        [
+            _simulate_tile(model, start, min(start + tile, hi), seed, max_draws)
+            for start in range(lo, hi, tile)
+        ]
+    )
 
-    Group draws are independent of the collected state, so a batch of
-    future draws can be generated at once; a cumulative OR then locates
-    each trial's completion round. Batch boundaries never affect results
-    because every draw reads a fixed position of its trial's stream.
+
+def _simulate_tile(
+    model: GroupModel, lo: int, hi: int, seed: int, max_draws: int
+) -> np.ndarray:
+    """Group counts for trials lo .. hi-1, advanced in lockstep passes.
+
+    Group draws are independent of the collected state, so a pass of
+    future draws can be made at once; a cumulative OR then locates each
+    trial's completion round. Tile, fill and pass boundaries never affect
+    results because every draw reads a fixed position of its trial's stream.
     """
     n = hi - lo
     per_draw = model.uniforms_per_group
@@ -87,18 +106,25 @@ def _simulate_range(
     draws = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
     rounds_done = 0
+    filled_to = 0
     while active.size:
         if rounds_done >= max_draws:
             raise DivergenceError(
                 f"a trial exceeded the per-trial draw limit of {max_draws}; "
                 f"the collection is likely impossible to complete"
             )
-        batch = max(1, min(_BATCH_MAX_DRAWS, _BATCH_ELEMENTS // active.size))
-        batch = min(batch, max_draws - rounds_done)
-        uniforms = uniform_span(
-            seed, trial_ids[active], rounds_done * per_draw, batch * per_draw
-        )
-        masks = model.draw_groups(uniforms.reshape(-1, per_draw))
+        if rounds_done == filled_to:
+            fill = min(
+                max(rounds_done, _FILL_MIN_DRAWS), _FILL_MAX_DRAWS, max_draws - rounds_done
+            )
+            filled = uniform_span(
+                seed, trial_ids[active], rounds_done * per_draw, fill * per_draw
+            ).reshape(active.size, fill, per_draw)
+            rows = np.arange(active.size)  # row of filled per active trial
+            filled_from, filled_to = rounds_done, rounds_done + fill
+        batch = min(_PASS_DRAWS, filled_to - rounds_done)
+        at = rounds_done - filled_from
+        masks = model.draw_groups(filled[rows, at : at + batch].reshape(-1, per_draw))
         masks = masks.reshape(-1, batch)
         np.bitwise_or.accumulate(masks, axis=1, out=masks)
         state = collected[active, np.newaxis] | masks
@@ -109,6 +135,7 @@ def _simulate_range(
             draws[active[finished]] = rounds_done + at_round[finished] + 1
         collected[active] = state[:, -1]
         active = active[~finished]
+        rows = rows[~finished]
         rounds_done += batch
     return draws
 

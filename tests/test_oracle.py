@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import couponcollector.oracle as oracle
 from couponcollector import (
     CapacityError,
     DivergenceError,
@@ -9,6 +12,7 @@ from couponcollector import (
     InputError,
     Population,
     UniformDistinct,
+    WeightedDistinct,
     WithoutReplacement,
     chain_expectation,
     inclusion_exclusion_expectation,
@@ -115,8 +119,6 @@ class TestSimulation:
             simulate_collection(self.RARE_TYPE, trials=3, seed=0, max_draws=500)
 
     def test_default_draw_limit_is_read_at_call_time(self, monkeypatch):
-        import couponcollector.oracle as oracle
-
         monkeypatch.setattr(oracle, "DEFAULT_MAX_DRAWS", 300)
         with pytest.raises(DivergenceError, match="limit of 300;"):
             simulate_collection(self.RARE_TYPE, trials=3, seed=0)
@@ -150,3 +152,75 @@ class TestSimulation:
             simulate_collection(model, trials=10, seed=-1)
         with pytest.raises(InputError):
             simulate_collection(model, trials=10, seed=1 << 64)
+
+
+def _reference_draws(model, seed, trials):
+    """Groups to completion per trial, one draw at a time, each trial reading
+    its own numpy Philox stream from the start."""
+    full = (1 << model.m) - 1
+    out = []
+    for trial in range(trials):
+        bit_gen = np.random.Philox(key=seed, counter=[0, 0, trial, 0])
+        uniforms = np.random.Generator(bit_gen)
+        seen = draws = 0
+        while seen != full:
+            seen |= int(model.draw_groups(uniforms.random((1, model.uniforms_per_group)))[0])
+            draws += 1
+        out.append(draws)
+    return np.array(out)
+
+
+def _tiny_tiles(monkeypatch):
+    # fills of 2..5 draws read in passes of 2 draws, tiles of 1 to 12 trials
+    monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 24)
+    monkeypatch.setattr(oracle, "_FILL_MIN_DRAWS", 2)
+    monkeypatch.setattr(oracle, "_FILL_MAX_DRAWS", 5)
+    monkeypatch.setattr(oracle, "_PASS_DRAWS", 2)
+
+
+class TestTiledLoop:
+    TRIALS = 37  # a multiple of no tile size below
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            UniformDistinct(5, 3),
+            DraftLottery((0.4, 0.3, 0.2, 0.07, 0.03), 3),
+            WithoutReplacement(Population((1, 3, 10, 40)), 2),
+            WeightedDistinct(4, 2, (0.05, 0.1, 0.15, 0.2, 0.2, 0.3)),
+        ],
+        ids=lambda m: m.describe(),
+    )
+    def test_draws_match_the_reference_at_any_tiling(self, monkeypatch, model):
+        # with d = 3 uniforms per group, fills start off a 4-word block
+        want = _reference_draws(model, 11, self.TRIALS)
+        default = oracle._simulate_range(model, 0, self.TRIALS, 11, 10**6)
+        assert np.array_equal(default, want)
+        _tiny_tiles(monkeypatch)
+        tiled = oracle._simulate_range(model, 0, self.TRIALS, 11, 10**6)
+        assert np.array_equal(tiled, want)
+        assert np.array_equal(oracle._simulate_range(model, 5, 30, 11, 10**6), want[5:30])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_workers_and_tiling_leave_the_estimate_unchanged(self, monkeypatch, workers):
+        model = UniformDistinct(5, 3)
+        want = simulate_collection(model, trials=self.TRIALS, seed=4)
+        _tiny_tiles(monkeypatch)
+        got = simulate_collection(model, trials=self.TRIALS, seed=4, workers=workers)
+        assert got == want
+
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_draw_limit_ending_mid_fill(self, monkeypatch, tiny):
+        model = WithoutReplacement(Population((1, 3, 10, 40)), 2)
+        longest = int(_reference_draws(model, 11, self.TRIALS).max())
+        assert (longest - 1) % 2 and (longest - 1) % 32  # the limit cuts a pass
+        if tiny:
+            _tiny_tiles(monkeypatch)
+        done = simulate_collection(model, trials=self.TRIALS, seed=11, max_draws=longest)
+        assert done == simulate_collection(model, trials=self.TRIALS, seed=11)
+        message = (
+            f"a trial exceeded the per-trial draw limit of {longest - 1}; "
+            f"the collection is likely impossible to complete"
+        )
+        with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
+            simulate_collection(model, trials=self.TRIALS, seed=11, max_draws=longest - 1)
