@@ -26,7 +26,7 @@ from .models import (
     mandelbrot_weights,
     population_from_weights,
 )
-from .oracle import DEFAULT_TRIALS, simulate_collection
+from .oracle import DEFAULT_TRIALS, simulate_collection, usable_cpus
 
 WORKERS_ENV = "COUPONCOLLECTOR_WORKERS"
 
@@ -40,7 +40,9 @@ def _fmt(x: float) -> str:
 
 
 def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
+    raw = os.environ.get(WORKERS_ENV)
+    if raw is None:
+        return usable_cpus()
     try:
         return max(1, int(raw))
     except ValueError:

@@ -182,18 +182,46 @@ def _weighted_removal_masks(
     return masks
 
 
-def _ranked_urn_masks(uniforms: np.ndarray, cum_counts: np.ndarray) -> np.ndarray:
+# Urn positions map to types through a guide table (Chen & Asau 1974): bucket
+# b holds the type of position b << shift. There are at most 2**_GUIDE_BITS
+# buckets whatever N, and below that every position has its own bucket.
+_GUIDE_BITS = 16
+
+
+def _urn_guide(counts) -> tuple[np.ndarray, np.ndarray, int]:
+    """(cumulative counts, type of each bucket's first position, bucket shift)."""
+    cum = np.cumsum(np.asarray(counts, dtype=np.int64))
+    total = int(cum[-1])
+    shift = max(0, (total - 1).bit_length() - _GUIDE_BITS)
+    first = np.searchsorted(cum, np.arange(0, total, 1 << shift), side="right")
+    return cum, first, shift
+
+
+def _urn_types(position: np.ndarray, guide) -> np.ndarray:
+    """Type of each urn position, the same as searchsorted(cum, position, "right").
+
+    A position starts at its bucket's first type and steps over each type
+    that ends inside the bucket at or before it.
+    """
+    cum, first, shift = guide
+    types = first[position >> shift]
+    while (step := cum[types] <= position).any():
+        types += step
+    return types
+
+
+def _ranked_urn_masks(uniforms: np.ndarray, guide) -> np.ndarray:
     """Draw g individuals without replacement from an urn of integer counts.
 
     Individuals carry absolute positions 0 .. N-1, ordered by type. Step j
     picks position rank floor(u_j * (N - j)) among the individuals still
     present; the rank is mapped to an absolute position by stepping over
     the positions already drawn (in increasing order), and the position is
-    mapped to its type through the cumulative counts. Returns the bitmask
-    of drawn types per row of uniforms.
+    mapped to its type through the urn's guide table (``_urn_guide``).
+    Returns the bitmask of drawn types per row of uniforms.
     """
     n, g = uniforms.shape
-    total = int(cum_counts[-1])
+    total = int(guide[0][-1])
     masks = np.zeros(n, dtype=np.uint64)
     taken = np.empty((n, g), dtype=np.int64)
     for j in range(g):
@@ -205,7 +233,7 @@ def _ranked_urn_masks(uniforms: np.ndarray, cum_counts: np.ndarray) -> np.ndarra
             for k in range(j):
                 position = position + (position >= earlier[:, k])
         taken[:, j] = position
-        types = np.searchsorted(cum_counts, position, side="right")
+        types = _urn_types(position, guide)
         masks |= np.uint64(1) << types.astype(np.uint64)
     return masks
 
@@ -244,11 +272,11 @@ class _CountLaw(GroupModel):
         return self.g
 
     @cached_property
-    def _cum_counts(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self._counts, dtype=np.int64))
+    def _guide(self) -> tuple[np.ndarray, np.ndarray, int]:
+        return _urn_guide(self._counts)
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        return _ranked_urn_masks(uniforms, self._cum_counts)
+        return _ranked_urn_masks(uniforms, self._guide)
 
 
 class _ExplicitLaw(GroupModel):

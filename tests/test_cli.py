@@ -125,6 +125,29 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out == baseline
 
+    def test_default_workers_are_the_usable_cpus(self, model_file, monkeypatch):
+        import couponcollector.cli as cli
+
+        seen = []
+        simulate = cli.simulate_collection
+
+        def spy(model, **kwargs):
+            seen.append(kwargs["workers"])
+            return simulate(model, **kwargs)
+
+        monkeypatch.delenv("COUPONCOLLECTOR_WORKERS", raising=False)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "simulate_collection", spy)
+        assert main(["simulate", "--model", model_file(PAPER_MODEL), "--trials", "30"]) == 0
+        assert seen == [3]
+
+    def test_more_than_64_types_exit_3(self, model_file, capsys):
+        path = model_file({"model": "uniform_distinct", "g": 2, "m": 70})
+        assert main(["simulate", "--model", path, "--trials", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: m=70 exceeds the simulator's cap of 64")
+
     def test_json_fields(self, model_file, capsys):
         path = model_file({"model": "uniform_distinct", "g": 2, "m": 4})
         assert main(["simulate", "--model", path, "--trials", "500", "--json"]) == 0

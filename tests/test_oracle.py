@@ -1,3 +1,4 @@
+import concurrent.futures
 import re
 
 import numpy as np
@@ -144,6 +145,19 @@ class TestSimulation:
         with pytest.raises(DivergenceError, match="type 2 never appears"):
             simulate_collection(model, trials=3, seed=0)
 
+    def test_more_than_64_types_fail_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a group or started a pool")
+
+        monkeypatch.setattr(oracle, "_simulate_range", no_draws)
+        monkeypatch.setattr(oracle, "_executor", no_draws)
+        with pytest.raises(CapacityError, match="m=70 exceeds the simulator's cap of 64"):
+            simulate_collection(UniformDistinct(70, 2), trials=3, seed=0, workers=2)
+
+    def test_64_types_simulate(self):
+        estimate = simulate_collection(UniformDistinct(64, 60), trials=20, seed=0)
+        assert estimate.mean > 1
+
     def test_input_validation(self):
         model = UniformDistinct(3, 2)
         with pytest.raises(InputError):
@@ -224,3 +238,90 @@ class TestTiledLoop:
         )
         with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
             simulate_collection(model, trials=self.TRIALS, seed=11, max_draws=longest - 1)
+
+
+FIVE_MODELS = [
+    UniformDistinct(5, 3),
+    WeightedDistinct(4, 2, (0.05, 0.1, 0.15, 0.2, 0.2, 0.3)),
+    IidWithinGroup((0.4, 0.3, 0.2, 0.1), 2),
+    WithoutReplacement(Population((1, 3, 10, 40)), 2),
+    DraftLottery((0.4, 0.3, 0.2, 0.07, 0.03), 3),
+]
+
+
+def _forked_spans(monkeypatch) -> list:
+    """Run spans of two or more trials in two forked processes; the returned
+    list collects the class name of each pool made."""
+    made = []
+    make = oracle._executor
+
+    def spy(size, span_trials):
+        pool = make(size, span_trials)
+        made.append(type(pool).__name__)
+        return pool
+
+    monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 2)
+    monkeypatch.setattr(oracle, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(oracle, "_executor", spy)
+    return made
+
+
+class TestWorkerPools:
+    TRIALS = 37
+
+    @pytest.mark.parametrize("model", FIVE_MODELS, ids=lambda m: m.describe())
+    def test_forked_draws_equal_the_reference(self, monkeypatch, model):
+        want = _reference_draws(model, 11, self.TRIALS)
+        made = _forked_spans(monkeypatch)
+        got = oracle._simulate_spans(model, self.TRIALS, 11, 3, 10**6)
+        assert made == ["ProcessPoolExecutor"]
+        assert np.array_equal(got, want)
+
+    def test_draw_limit_in_a_child_keeps_its_type_and_message(self, monkeypatch):
+        model = WithoutReplacement(Population((1, 3, 10, 40)), 2)
+        longest = int(_reference_draws(model, 11, self.TRIALS).max())
+        made = _forked_spans(monkeypatch)
+        message = (
+            f"a trial exceeded the per-trial draw limit of {longest - 1}; "
+            f"the collection is likely impossible to complete"
+        )
+        with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$") as err:
+            simulate_collection(
+                model, trials=self.TRIALS, seed=11, workers=3, max_draws=longest - 1
+            )
+        assert type(err.value) is DivergenceError
+        assert made == ["ProcessPoolExecutor"]
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
+    def test_pool_size_is_capped_at_the_usable_cpus(self, monkeypatch, forked):
+        made = []
+
+        def inline(kind):
+            class Inline:
+                """Records its size and runs each span at submit; starts no worker."""
+
+                def __init__(self, max_workers, mp_context=None):
+                    made.append((kind, max_workers))
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def submit(self, fn, *args):
+                    future = concurrent.futures.Future()
+                    future.set_result(fn(*args))
+                    return future
+
+            return Inline
+
+        monkeypatch.setattr(oracle, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", inline("threads"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline("processes"))
+        if forked:
+            monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 1)
+        model = UniformDistinct(5, 3)
+        got = simulate_collection(model, trials=self.TRIALS, seed=4, workers=10_000)
+        assert made == [("processes" if forked else "threads", 3)]
+        assert got == simulate_collection(model, trials=self.TRIALS, seed=4)

@@ -16,6 +16,7 @@ from couponcollector import (
     sample_group,
 )
 from couponcollector._philox import uniform_span
+from couponcollector.models import _urn_guide, _urn_types
 from conftest import random_model
 
 
@@ -71,6 +72,21 @@ def test_empirical_avoidance_matches_exact(model):
         freq = float(np.mean((masks & np.uint64(subset)) == 0))
         se = math.sqrt(max(q * (1 - q), 1e-12) / n)
         assert abs(freq - q) <= 3 * se, (subset, freq, q)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(10, 100, 500, 1000), (10**6, 1, 1, 3, 1, 10**6, 1, 2, 1)],
+    ids=["N<=2**16", "N>2**16"],
+)
+def test_urn_guide_matches_searchsorted_at_every_type_boundary(counts):
+    cum, first, shift = guide = _urn_guide(counts)
+    assert len(first) <= 1 << 16
+    assert (shift == 0) == (cum[-1] <= 1 << 16)
+    ends = np.cumsum(counts)
+    positions = np.unique(np.concatenate([[0], ends - 1, ends[:-1]]))
+    want = np.searchsorted(ends, positions, side="right")
+    assert np.array_equal(_urn_types(positions, guide), want)
 
 
 def test_group_sizes_are_correct():
