@@ -26,7 +26,7 @@ from .models import (
     mandelbrot_weights,
     population_from_weights,
 )
-from .oracle import DEFAULT_TRIALS, simulate_collection, usable_cpus
+from .oracle import DEFAULT_TRIALS, default_workers, simulate_collection
 
 WORKERS_ENV = "COUPONCOLLECTOR_WORKERS"
 
@@ -39,10 +39,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _workers() -> int:
+def _workers(trials: int) -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
-        return usable_cpus()
+        return default_workers(trials)
     try:
         return max(1, int(raw))
     except ValueError:
@@ -94,7 +94,7 @@ def cmd_exact(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     estimate = simulate_collection(
-        model, trials=args.trials, seed=args.seed, workers=_workers()
+        model, trials=args.trials, seed=args.seed, workers=_workers(args.trials)
     )
     if args.json:
         payload = {
@@ -175,7 +175,7 @@ def _m_sweep(args) -> int:
         raise InputError(f"--m-range must start at 1 or above (got {lo}..{hi})")
     total = args.population_size
     group_size = 2
-    workers = _workers()
+    workers = _workers(args.trials)
     rows = []
     for m in range(lo, hi + 1):
         weights = mandelbrot_weights(m, MANDELBROT_C, MANDELBROT_THETA)

@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from conftest import record_pools
 from couponcollector.cli import main
 
 PAPER_MODEL = {"model": "without_replacement", "g": 2, "counts": [10, 100, 500, 1000]}
@@ -125,21 +127,28 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out == baseline
 
-    def test_default_workers_are_the_usable_cpus(self, model_file, monkeypatch):
-        import couponcollector.cli as cli
+    @pytest.mark.parametrize("cpus", [2, 8, 40])
+    @pytest.mark.parametrize("trials", [30, 20_000, 100_000])
+    def test_default_workers_never_build_a_multi_thread_pool(
+        self, model_file, monkeypatch, capsys, cpus, trials
+    ):
+        import couponcollector.oracle as oracle
 
-        seen = []
-        simulate = cli.simulate_collection
+        spans = []
 
-        def spy(model, **kwargs):
-            seen.append(kwargs["workers"])
-            return simulate(model, **kwargs)
+        def fake_range(model, lo, hi, seed, max_draws):
+            spans.append(hi - lo)
+            return np.full(hi - lo, 7, dtype=np.int64)
 
+        made = record_pools(monkeypatch, cpus)
+        monkeypatch.setattr(oracle, "_simulate_range", fake_range)
         monkeypatch.delenv("COUPONCOLLECTOR_WORKERS", raising=False)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "simulate_collection", spy)
-        assert main(["simulate", "--model", model_file(PAPER_MODEL), "--trials", "30"]) == 0
-        assert seen == [3]
+        argv = ["simulate", "--model", model_file(PAPER_MODEL), "--trials", str(trials)]
+        assert main(argv) == 0
+        assert all(size == 1 for kind, size in made if kind == "threads")
+        assert len(spans) == 1 or min(spans) >= oracle._PROCESS_MIN_TRIALS
+        assert made in ([], [("processes", len(spans))])
+        assert len(spans) <= cpus
 
     def test_more_than_64_types_exit_3(self, model_file, capsys):
         path = model_file({"model": "uniform_distinct", "g": 2, "m": 70})

@@ -1,5 +1,5 @@
-import concurrent.futures
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from couponcollector import (
     inclusion_exclusion_expectation,
     simulate_collection,
 )
-from conftest import random_model
+from conftest import random_model, record_pools
 
 
 class TestChain:
@@ -294,34 +294,44 @@ class TestWorkerPools:
 
     @pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
     def test_pool_size_is_capped_at_the_usable_cpus(self, monkeypatch, forked):
-        made = []
-
-        def inline(kind):
-            class Inline:
-                """Records its size and runs each span at submit; starts no worker."""
-
-                def __init__(self, max_workers, mp_context=None):
-                    made.append((kind, max_workers))
-
-                def __enter__(self):
-                    return self
-
-                def __exit__(self, *exc):
-                    return False
-
-                def submit(self, fn, *args):
-                    future = concurrent.futures.Future()
-                    future.set_result(fn(*args))
-                    return future
-
-            return Inline
-
-        monkeypatch.setattr(oracle, "usable_cpus", lambda: 3)
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", inline("threads"))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline("processes"))
+        made = record_pools(monkeypatch, 3)
         if forked:
             monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 1)
         model = UniformDistinct(5, 3)
         got = simulate_collection(model, trials=self.TRIALS, seed=4, workers=10_000)
-        assert made == [("processes" if forked else "threads", 3)]
+        assert made == [("processes", 3) if forked else ("threads", 1)]
         assert got == simulate_collection(model, trials=self.TRIALS, seed=4)
+
+    def test_a_running_thread_keeps_spans_out_of_forked_processes(self, monkeypatch):
+        model = UniformDistinct(5, 3)
+        want = _reference_draws(model, 11, self.TRIALS)
+        made = _forked_spans(monkeypatch)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            got = oracle._simulate_spans(model, self.TRIALS, 11, 3, 10**6)
+        finally:
+            stop.set()
+            other.join()
+        assert made == ["ThreadPoolExecutor"]
+        assert np.array_equal(got, want)
+
+    def test_macos_never_forks(self, monkeypatch):
+        model = UniformDistinct(5, 3)
+        want = _reference_draws(model, 11, self.TRIALS)
+        made = _forked_spans(monkeypatch)
+        monkeypatch.setattr(oracle.sys, "platform", "darwin")
+        got = oracle._simulate_spans(model, self.TRIALS, 11, 3, 10**6)
+        assert made == ["ThreadPoolExecutor"]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "cpus, trials, want",
+        [(1, 10**5, 1), (2, 10**5, 2), (3, 30, 1), (8, 20_000, 6), (40, 10**5, 33)],
+    )
+    def test_default_workers_give_no_span_below_the_break_even(
+        self, monkeypatch, cpus, trials, want
+    ):
+        monkeypatch.setattr(oracle, "usable_cpus", lambda: cpus)
+        assert oracle.default_workers(trials) == want
