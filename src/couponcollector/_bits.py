@@ -3,7 +3,7 @@
 Subsets of the type universe {0, .., m-1} are represented as integer
 bitmasks (bit i set <=> type i in the set). Arrays indexed by mask have
 length 2**m and run in increasing bitmask order; ``subset_sum_classes``
-instead groups the subsets by the sum of their integer counts.
+instead groups the subsets by the sum of their values.
 """
 
 from collections.abc import Iterable
@@ -46,48 +46,65 @@ def subset_sums(values) -> np.ndarray:
     return out
 
 
-def subset_sum_classes(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct subset sums c of integer ``counts`` with two multiplicities.
+def subset_sum_classes(
+    values,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct subset sums s of nonnegative ``values``, with multiplicities.
 
-    Returns ``(sums, signed, total)`` in increasing order of c: for
-    c = ``sums[j]``, ``signed[j]`` is the sum of (-1)**|S| and ``total[j]``
-    the number of subsets S with sum c, the coefficients of x**c in
-    prod(1 - x**n) and prod(1 + x**n). Each count merges the sorted run of
-    sums with the same run shifted by that count and folds equal sums
-    together, so the work grows with the number of distinct sums (at most
-    sum(counts) + 1), not with 2**m. Sums are float64 (exact below 2**53);
-    the multiplicities are int64 and, for up to 52 counts, below 2**53, so
-    exact as floats.
+    Returns ``(sums, signed, total, largest)`` in increasing order of s: for
+    s = ``sums[j]``, ``signed[j]`` is the sum of (-1)**|S| and ``total[j]``
+    the number of subsets S with sum s, and ``largest[j]`` the largest |S|
+    among them. For integer values these are the coefficients of x**s in
+    prod(1 - x**n) and prod(1 + x**n). Each value merges the sorted run of
+    sums with the same run shifted by that value and folds each run of
+    equal sums into its first entry, so the work grows with the number of
+    distinct sums (at most sum(values) + 1 for integers), not with 2**m.
+
+    The sums are added in the bit order of ``subset_sums``, so each one is
+    the float64 that ``subset_sums`` gives its subsets: shifting a class
+    shifts each of its subsets by the same rounded addition. For integers
+    they are exact below 2**53. The multiplicities are int64 and, for up
+    to 52 values, below 2**53, so exact as floats.
     """
-    if len(counts) > 52:
-        raise ValueError("subset multiplicities pass 2**53 above 52 counts")
+    if len(values) > 52:
+        raise ValueError("subset multiplicities pass 2**53 above 52 values")
     sums = np.zeros(1, dtype=np.float64)
     signed = np.ones(1, dtype=np.int64)
     total = np.ones(1, dtype=np.int64)
+    largest = np.zeros(1, dtype=np.uint8)
     # each step drops its inputs as soon as it can: at N >> 2**m the
     # arrays hold up to 2**m entries
-    for n in counts:
-        merged = np.concatenate([sums, sums + n])
+    for v in values:
+        merged = np.concatenate([sums, sums + v])
         del sums
         order = np.argsort(merged, kind="stable")  # merges the two sorted runs
         merged = merged[order]
-        signed = np.concatenate([signed, -signed])
-        signed = signed[order]
-        total = np.concatenate([total, total])
-        total = total[order]
+        signed = np.concatenate([signed, -signed])[order]
+        total = np.concatenate([total, total])[order]
+        largest = np.concatenate([largest, largest + np.uint8(1)])[order]
         del order
-        # each run holds distinct sums, so equal sums come in adjacent pairs
-        pairs = np.flatnonzero(merged[1:] == merged[:-1])
-        signed[pairs] += signed[pairs + 1]
-        total[pairs] += total[pairs + 1]
+        # float rounding can make a shifted run repeat a sum, and two equal
+        # shifted sums can meet a third unshifted one: runs of equal sums
+        # have any length. Each later entry of a run folds into its head
+        joins = np.flatnonzero(merged[1:] == merged[:-1])
+        starts = np.ones(joins.size, dtype=bool)
+        starts[1:] = joins[1:] != joins[:-1] + 1
+        head = joins[starts][np.cumsum(starts) - 1]
+        later = joins + 1
+        del joins, starts
+        np.add.at(signed, head, signed[later])
+        np.add.at(total, head, total[later])
+        np.maximum.at(largest, head, largest[later])
+        del head
         keep = np.ones(merged.size, dtype=bool)
-        keep[pairs + 1] = False
-        del pairs
+        keep[later] = False
+        del later
         sums = merged[keep]
         del merged
         signed = signed[keep]
         total = total[keep]
-    return sums, signed, total
+        largest = largest[keep]
+    return sums, signed, total, largest
 
 
 def popcounts(m: int) -> np.ndarray:
@@ -99,12 +116,15 @@ def popcounts(m: int) -> np.ndarray:
     return out
 
 
-def subset_zeta(values: np.ndarray) -> np.ndarray:
+def subset_zeta(values: np.ndarray, copy: bool = True) -> np.ndarray:
     """Sum-over-subsets transform: out[T] = sum of values[S] for S subseteq T.
 
-    Standard in-place bitwise dynamic program, vectorized one bit at a time.
+    Standard bitwise dynamic program, vectorized one bit at a time. It
+    works on a float64 copy of ``values``; with ``copy=False`` it
+    transforms ``values`` itself, which must then be a float64 array, and
+    returns it.
     """
-    out = np.array(values, dtype=np.float64, copy=True)
+    out = np.array(values, dtype=np.float64, copy=copy)
     n = out.shape[0]
     m = n.bit_length() - 1
     if 1 << m != n:

@@ -11,16 +11,21 @@ never avoid (q(S) = 0) contribute a bare (-1)**(|S|+1); keeping them in
 the sum reproduces the trailing binomial correction of the distinct-group
 closed form without a special case.
 
-Count-statistic laws (``UniformDistinct``, ``WithoutReplacement``) have
-q(S) = q(c) for the excluded count c, the sum of the type counts over S,
-so every subset with count c has the term (-1)**(|S|+1) * t_c with
-t_c = 1 / (1 - q(c)). Their sum runs over the distinct excluded counts,
-at most N + 1 of them for a population of N: E = -sum over c >= 1 of
-a_c * t_c, with a_c the coefficient of x**c in prod(1 - x**n_i). Each
-product a_c * t_c is split into floats that sum to it exactly, in
-O(min(N + 1, 2**m)) memory. Every other model walks the 2**m entries of
-its q(S) table in blocks. Both kinds feed their exact pieces, block by
-block, into one ``math.fsum``, so for every model the value is the
+Count-statistic laws (``UniformDistinct``, ``WithoutReplacement``,
+``IidWithinGroup``) have q(S) = q(c) for the excluded weight c, the sum
+of the type weights over S, so every subset with weight c has the term
+(-1)**(|S|+1) * t_c with t_c = 1 / (1 - q(c)). Their sum runs over the
+distinct subset sums c, at most N + 1 of them for a population of N:
+E = -sum over c > 0 of a_c * t_c, with a_c the signed number of subsets
+with sum c (for counts, the coefficient of x**c in prod(1 - x**n_i)).
+The sums are the very floats of the 2**m lattice, so a_c * t_c is the
+exact total of that class's subset terms; each product is split into
+floats that sum to it exactly, in O(classes) memory. Real weights whose
+sums never coincide (a generic p) would make 2**m classes at about twice
+the lattice's cost, so such a law walks its q(S) table instead;
+the explicit laws (``WeightedDistinct``, ``DraftLottery``) always do, in
+blocks. Both paths feed their exact pieces, block by block, into one
+``math.fsum``, so for every model, on either path, the value is the
 correctly rounded sum of the 2**m subset terms. The sum alternates and
 can cancel heavily, and every result carries a cancellation-ratio
 diagnostic. The cap on m (``DEFAULT_EXACT_CAP``) holds for every model,
@@ -51,6 +56,17 @@ DEFAULT_EXACT_CAP = 24
 # m = 24, N = 10**8 (about 2**24 count classes) one pass peaked at 962 MB
 # and took 4.5 s; in blocks, 399 MB and 2.3 s
 _BLOCK_BITS = 16
+
+# Real weights take the class path only when some subset sums of their
+# first _PROBE_VALUES values coincide; otherwise they walk the lattice,
+# which costs 0.26 s at m = 22 where 2**21 classes cost 0.46 s. Measured
+# on IidWithinGroup(counts / N, 3) for a Mandelbrot population at m = 22
+# (class path against lattice): N = 10**5 has 217,891 classes, 0.11 s
+# against 0.26 s, and 12 values are the fewest whose sums coincide; at
+# N = 10**6 (1.29M classes, 0.41 s against 0.29 s) 12 values are the most
+# whose sums do not. The probe costs 0.3 ms. A generic p with one value
+# repeated still collides and takes the class path, 1.3x the lattice.
+_PROBE_VALUES = 12
 
 
 @dataclass(frozen=True)
@@ -90,13 +106,21 @@ def inclusion_exclusion_expectation(
     """Expected number of groups to observe every type at least once."""
     _check_capacity(model.m, exact_cap)
     _check_collectable(model)
-    source = _count_law_blocks if isinstance(model, _CountLaw) else _lattice_blocks
-    truncated_at, blocks = source(model)
+    if isinstance(model, _CountLaw) and model.m > 53:
+        # the class build takes all weights but the last
+        raise CapacityError(
+            f"m={model.m} exceeds the 53-type limit of count-statistic laws "
+            f"(subset multiplicities pass 2**53); use the Monte Carlo oracle"
+        )
+    source = _count_law_blocks if _sums_by_class(model) else _lattice_blocks
     abs_sums = []
+    truncated_at = 0
 
     def piece_lists():
-        for block_pieces, magnitudes in blocks:
+        nonlocal truncated_at
+        for block_pieces, magnitudes, widest in source(model):
             abs_sums.append(float(magnitudes.sum()))
+            truncated_at = max(truncated_at, widest)
             yield block_pieces.tolist()
 
     value = math.fsum(chain.from_iterable(piece_lists()))
@@ -108,29 +132,42 @@ def inclusion_exclusion_expectation(
     )
 
 
+def _sums_by_class(model: GroupModel) -> bool:
+    """Whether the model's sum runs over its distinct subset sums.
+
+    Integer counts have at most N + 1 sums and always do. Real weights do
+    when the subset sums of the first ``_PROBE_VALUES`` of them coincide.
+    """
+    if not isinstance(model, _CountLaw):
+        return False
+    values = model._counts
+    if all(float(v).is_integer() for v in values):
+        return True
+    head = values[:_PROBE_VALUES]
+    return subset_sum_classes(head)[0].size < 1 << len(head)
+
+
+def _widest(sizes: np.ndarray, q: np.ndarray, offset: int) -> int:
+    """Largest offset + size among entries with q > 0, else 0."""
+    contributing = sizes[q > 0.0]
+    return offset + int(contributing.max()) if contributing.size else 0
+
+
 def _lattice_blocks(model: GroupModel):
-    """``truncated_at`` and the (terms, |terms|) blocks of the q(S) table."""
+    """(terms, |terms|, largest |S| with q > 0) blocks of the q(S) table."""
     q = model.avoidance_table()
     stuck = np.flatnonzero(q[1:] >= 1.0)
     if stuck.size:
         _raise_stuck(int(stuck[0]) + 1)
     low = popcounts(min(model.m, _BLOCK_BITS))
     signs = np.where(low % 2 == 1, 1.0, -1.0)
-    truncated_at = 0
     for lo in range(0, q.size, low.size):
-        contributing = low[q[lo : lo + low.size] > 0.0]
-        if contributing.size:
-            truncated_at = max(truncated_at, lo.bit_count() + int(contributing.max()))
-
-    def blocks():
-        for lo in range(0, q.size, low.size):
-            first = 1 if lo == 0 else 0  # mask 0 (q = 1) is not a term
-            t = 1.0 / (1.0 - q[lo + first : lo + low.size])
-            # an aligned block's masks share their high bits, which flip signs
-            sign = -signs[first:] if lo.bit_count() % 2 else signs[first:]
-            yield sign * t, t
-
-    return truncated_at, blocks()
+        block = q[lo : lo + low.size]
+        first = 1 if lo == 0 else 0  # mask 0 (q = 1) is not a term
+        t = 1.0 / (1.0 - block[first:])
+        # an aligned block's masks share their high bits, which flip signs
+        sign = -signs[first:] if lo.bit_count() % 2 else signs[first:]
+        yield sign * t, t, _widest(low, block, lo.bit_count())
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,44 +193,35 @@ def _exact_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _count_law_blocks(model: _CountLaw):
-    """``truncated_at`` and the blocks of the sum over excluded counts c.
+    """(pieces, |terms|, largest |S| with q > 0) blocks of the sum over
+    the distinct subset sums c.
 
-    a_c and b_c are the signed and unsigned numbers of subsets with count
-    c, so -sum a_c * t_c is the value and sum b_c * t_c the sum of |term|.
-    The last count is not merged into the classes: each class c of the
-    other counts stands for its subsets at c and, with the last type added,
-    at c + n_last with the opposite sign. That skips the largest merge and
-    leaves at most twice the distinct sums.
+    a_c and b_c are the signed and unsigned numbers of subsets with sum c,
+    so -sum a_c * t_c is the value and sum b_c * t_c the sum of |term|.
+    The last weight is not merged into the classes: each class c of the
+    other weights stands for its subsets at c and, with the last type
+    added, at c + w_last with the opposite sign. That skips the largest
+    merge and leaves at most twice the distinct sums.
     """
     counts = model._counts
-    if len(counts) > 53:  # subset_sum_classes takes all counts but the last
-        raise CapacityError(
-            f"m={len(counts)} exceeds the 53-type limit of count-statistic laws "
-            f"(subset multiplicities pass 2**53); use the Monte Carlo oracle"
-        )
-    # q(c) < 1 for c >= 1 in exact arithmetic, but (N - c) / N rounds to 1
-    # once N passes 2**53. q falls as c grows (each factor, and its
-    # rounding, is monotone), so q(S) = 1 for some S exactly when it does
-    # for a single type, and the first such type is the lattice's first mask
+    # q falls as c grows (1 - c, each urn factor, and their rounding are
+    # monotone, and so are the float subset sums in their subset), so
+    # q(S) = 1 for some S exactly when it does for a single type, and the
+    # first such type is the lattice's first mask. For an urn this
+    # happens once N passes 2**53 and (N - c) / N rounds to 1
     singles = model._count_avoidance(np.asarray(counts, dtype=np.float64))
     stuck = np.flatnonzero(singles >= 1.0)
     if stuck.size:
         _raise_stuck(1 << int(stuck[0]))
-    # for the same reason the largest k-subset with q > 0 holds the k
-    # smallest counts
-    smallest = np.cumsum(np.sort(np.asarray(counts, dtype=np.float64)))
-    truncated_at = int(np.count_nonzero(model._count_avoidance(smallest) > 0.0))
-    sums, signed, total = subset_sum_classes(counts[:-1])
-
-    def blocks():
-        # without the last type c = 0 is only the empty set, not a term
-        for shift, sign, first in ((0, -1.0, 1), (counts[-1], 1.0, 0)):
-            for lo in range(first, sums.size, 1 << _BLOCK_BITS):
-                block = slice(lo, lo + (1 << _BLOCK_BITS))
-                t = 1.0 / (1.0 - model._count_avoidance(sums[block] + shift))
-                yield _exact_products(sign * signed[block], t), total[block] * t
-
-    return truncated_at, blocks()
+    sums, signed, total, largest = subset_sum_classes(counts[:-1])
+    # without the last type c = 0 is only the empty set, not a term
+    for shift, sign, first, added in ((0, -1.0, 1, 0), (counts[-1], 1.0, 0, 1)):
+        for lo in range(first, sums.size, 1 << _BLOCK_BITS):
+            block = slice(lo, lo + (1 << _BLOCK_BITS))
+            q = model._count_avoidance(sums[block] + shift)
+            t = 1.0 / (1.0 - q)
+            widest = _widest(largest[block], q, added)
+            yield _exact_products(sign * signed[block], t), total[block] * t, widest
 
 
 def uniform_single_expectation(m: int) -> float:

@@ -17,14 +17,15 @@ groups of constant size g, and five group distributions are supported:
 
 Every model answers the same query: the avoidance probability q(S), the
 chance that a single drawn group contains no type from the subset S.
-Apart from ``IidWithinGroup`` (q(S) = (1 - p(S))**g), the models share
-one of two laws:
+The models share one of two laws:
 
-- count statistic (``UniformDistinct``, ``WithoutReplacement``): q(S)
-  depends only on the excluded count c, the sum of the per-type counts
-  over S, through q(c) = P(N - c, g) / P(N, g). ``UniformDistinct`` is an
-  urn of m singletons. The table and single queries evaluate q(c) the
-  same way, so they agree bit for bit.
+- count statistic (``UniformDistinct``, ``WithoutReplacement``,
+  ``IidWithinGroup``): q(S) depends only on the excluded weight c, the sum
+  of per-type weights over S. For the urns the weights are the integer
+  counts and q(c) = P(N - c, g) / P(N, g); ``UniformDistinct`` is an urn
+  of m singletons. For ``IidWithinGroup`` the weights are p and
+  q(c) = (1 - c)**g. The table and single queries add the weights in the
+  same order and evaluate q(c) the same way, so they agree bit for bit.
 - explicit (mask, weight) table (``WeightedDistinct``, ``DraftLottery``):
   q(S) is the total weight of the listed groups disjoint from S.
 
@@ -239,12 +240,15 @@ def _ranked_urn_masks(uniforms: np.ndarray, guide) -> np.ndarray:
 
 
 class _CountLaw(GroupModel):
-    """g individuals drawn without replacement from an urn of integer counts.
+    """A law whose q(S) depends on S only through an additive statistic.
 
-    Subclasses give the per-type counts as ``_counts``. q(S) depends on S
-    only through the excluded count c, the sum of the counts over S:
-    q(c) = P(N - c, g) / P(N, g), evaluated by ``_count_avoidance`` for an
-    array of counts, so a single query and the table agree bit for bit.
+    Subclasses give the per-type weights as ``_counts``; the excluded
+    weight c of S is their sum over S, added in increasing type order as
+    ``subset_sums`` adds them. ``_count_avoidance`` evaluates q for an
+    array of such sums, so a single query and the table agree bit for bit.
+    By default the weights are the integer counts of an urn that g
+    individuals are drawn from without replacement, q(c) =
+    P(N - c, g) / P(N, g), and groups are drawn from that urn.
     """
 
     def _count_avoidance(self, excluded: np.ndarray) -> np.ndarray:
@@ -257,15 +261,16 @@ class _CountLaw(GroupModel):
         return q
 
     def avoidance_probability(self, subset_mask: int) -> float:
-        types = types_of(self._check_mask(subset_mask))
-        excluded = np.array([sum(self._counts[i] for i in types)], dtype=np.float64)
-        return float(self._count_avoidance(excluded)[0])
+        excluded = 0.0
+        for i in types_of(self._check_mask(subset_mask)):
+            excluded += self._counts[i]
+        return float(self._count_avoidance(np.array([excluded]))[0])
 
     def avoidance_table(self) -> np.ndarray:
         return self._count_avoidance(subset_sums(self._counts))
 
     def uncollectable_types(self) -> tuple[int, ...]:
-        return ()
+        return tuple(i for i, c in enumerate(self._counts) if c == 0)
 
     @property
     def uniforms_per_group(self) -> int:
@@ -295,11 +300,13 @@ class _ExplicitLaw(GroupModel):
 
     def avoidance_table(self) -> np.ndarray:
         masks, weights = self._group_law
+        # one 2**m array throughout: np.zeros leaves the pages untouched
+        # until the zeta writes them, and the clip works in place
         lattice = np.zeros(1 << self.m)
         np.add.at(lattice, masks, weights)
-        contained = subset_zeta(lattice)
         # q(S) = total weight of groups inside the complement of S
-        table = np.clip(contained[::-1], 0.0, 1.0)
+        table = subset_zeta(lattice, copy=False)[::-1]
+        np.clip(table, 0.0, 1.0, out=table)
         table[0] = 1.0
         return table
 
@@ -394,8 +401,12 @@ class WeightedDistinct(_ExplicitLaw):
 
 
 @dataclass(frozen=True)
-class IidWithinGroup(GroupModel):
-    """Each of the g slots independently equals type k with probability p[k]."""
+class IidWithinGroup(_CountLaw):
+    """Each of the g slots independently equals type k with probability p[k].
+
+    A count-statistic law on the weights p: a group avoids S when each slot
+    misses it, so q(S) = (1 - p(S))**g.
+    """
 
     p: tuple[float, ...]
     g: int
@@ -412,21 +423,15 @@ class IidWithinGroup(GroupModel):
     def m(self) -> int:
         return len(self.p)
 
-    def avoidance_probability(self, subset_mask: int) -> float:
-        subset_mask = self._check_mask(subset_mask)
-        hit = math.fsum(self.p[i] for i in types_of(subset_mask))
-        return max(0.0, 1.0 - hit) ** self.g
-
-    def avoidance_table(self) -> np.ndarray:
-        remaining = np.clip(1.0 - subset_sums(self.p), 0.0, None)
-        return remaining**self.g
-
-    def uncollectable_types(self) -> tuple[int, ...]:
-        return tuple(i for i, pi in enumerate(self.p) if pi == 0.0)
-
     @property
-    def uniforms_per_group(self) -> int:
-        return self.g
+    def _counts(self) -> tuple[float, ...]:
+        return self.p
+
+    def _count_avoidance(self, excluded: np.ndarray) -> np.ndarray:
+        # in place: the lattice's 2**m sums stay alive in the caller
+        q = 1.0 - excluded
+        np.clip(q, 0.0, None, out=q)
+        return np.power(q, self.g, out=q)
 
     @cached_property
     def _cum_p(self) -> np.ndarray:

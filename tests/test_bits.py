@@ -28,17 +28,34 @@ def test_subset_sums_matches_brute_force():
         assert table[mask] == pytest.approx(expected, abs=1e-15)
 
 
-def test_subset_sum_classes_match_brute_force():
-    counts = (3, 1, 2, 3, 1, 4)
-    signed, total = {}, {}
-    for mask in range(1 << len(counts)):
-        c = sum(counts[i] for i in types_of(mask))
+def _grouped(sums):
+    """Signed count, count and largest size of the masks at each sum."""
+    signed, total, largest = {}, {}, {}
+    for mask, c in enumerate(sums):
         signed[c] = signed.get(c, 0) + (-1) ** mask.bit_count()
         total[c] = total.get(c, 0) + 1
-    sums, got_signed, got_total = subset_sum_classes(counts)
-    assert sums.tolist() == sorted(signed)
-    assert got_signed.tolist() == [signed[c] for c in sorted(signed)]
-    assert got_total.tolist() == [total[c] for c in sorted(total)]
+        largest[c] = max(largest.get(c, 0), mask.bit_count())
+    keys = sorted(signed)
+    return keys, *([d[c] for c in keys] for d in (signed, total, largest))
+
+
+def test_subset_sum_classes_match_brute_force():
+    counts = (3, 1, 2, 3, 1, 4)
+    sums = [sum(counts[i] for i in types_of(mask)) for mask in range(1 << 6)]
+    got = subset_sum_classes(counts)
+    assert [a.tolist() for a in got] == list(_grouped(sums))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float_subset_sum_classes_group_the_lattice_floats(seed):
+    # p = counts / N: distinct sums plus one value can round to one float,
+    # so a merge meets runs of three or more equal sums; each class must
+    # be exactly the lattice masks with that float sum
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 300, size=12)
+    values = (counts / counts.sum()).tolist()
+    got = subset_sum_classes(values)
+    assert [a.tolist() for a in got] == list(_grouped(subset_sums(values).tolist()))
 
 
 def test_subset_sum_classes_reject_inexact_multiplicities():

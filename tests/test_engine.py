@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from couponcollector import (
     uniform_group_expectation,
     uniform_single_expectation,
 )
-from couponcollector._bits import mask_of, popcounts
+import couponcollector.engine as engine
+from couponcollector._bits import mask_of, popcounts, subset_sums
 from conftest import random_model
 
 PAPER_COUNTS = (10, 100, 500, 1000)
@@ -214,9 +216,83 @@ class TestCountPath:
         assert value == float(exact)
 
 
+def _record(calls, name, source, model):
+    calls.append(name)
+    return source(model)
+
+
+def _engine_path(monkeypatch, model):
+    """Check ``model`` against the lattice; return the block sources the
+    engine used, the number of ``avoidance_table`` calls it made, and the
+    result."""
+    sources, tables = [], []
+    for name in ("_lattice_blocks", "_count_law_blocks"):
+        source = getattr(engine, name)
+        monkeypatch.setattr(engine, name, partial(_record, sources, name, source))
+    table = type(model).avoidance_table
+    monkeypatch.setattr(
+        type(model), "avoidance_table", lambda self: tables.append(1) or table(self)
+    )
+    result = _check_against_lattice(model)
+    return sources, len(tables) - 1, result  # _lattice made one call
+
+
+def _counts_over_total(rng, m, top=60):
+    counts = rng.integers(1, top, size=m)
+    return tuple((counts / counts.sum()).tolist())
+
+
+class TestIidPath:
+    """IidWithinGroup is a count law on the float weights p: it sums over
+    the distinct float subset sums when they coincide, and walks its q(S)
+    table when they do not."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_over_total_take_the_class_path(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        model = IidWithinGroup(_counts_over_total(rng, 18), int(rng.integers(1, 5)))
+        sources, tables, _ = _engine_path(monkeypatch, model)
+        assert sources == ["_count_law_blocks"]
+        assert tables == 0
+
+    @pytest.mark.parametrize("m", [17, 18])
+    def test_generic_p_falls_back_to_the_lattice(self, monkeypatch, m):
+        p = np.random.default_rng(m).uniform(0.1, 1.0, size=m)
+        model = IidWithinGroup(tuple(p / p.sum()), 3)
+        sources, tables, _ = _engine_path(monkeypatch, model)
+        assert sources == ["_lattice_blocks"]
+        assert tables == 1
+
+    @pytest.mark.parametrize(
+        "seed, reaches_1", [(0, True), (5, False), (16, False), (18, True)]
+    )
+    def test_truncation_follows_the_bit_order_full_sum(
+        self, monkeypatch, seed, reaches_1
+    ):
+        # normalized p put the full set's sum at 1 up to rounding, and the
+        # bit order decides which side: seeds 5 and 18 round the other way
+        # when the same p are added in increasing order
+        m = 14
+        model = IidWithinGroup(_counts_over_total(np.random.default_rng(seed), m), 2)
+        assert (subset_sums(model.p)[-1] >= 1.0) == reaches_1
+        assert (np.cumsum(np.sort(model.p))[-1] >= 1.0) == (seed in (0, 5))
+        sources, _, result = _engine_path(monkeypatch, model)
+        assert sources == ["_count_law_blocks"]
+        assert result.truncated_at == (m - 1 if reaches_1 else m)
+
+    def test_truncation_where_q_underflows(self, monkeypatch):
+        # (1 - p(S))**400 underflows to 0 once p(S) passes about 0.84, so
+        # the widest contributing subsets lie well inside the lattice
+        model = IidWithinGroup(_counts_over_total(np.random.default_rng(7), 14), 400)
+        sources, _, result = _engine_path(monkeypatch, model)
+        assert sources == ["_count_law_blocks"]
+        assert 1 < result.truncated_at < model.m - 1
+
+
 class TestLatticePath:
-    """Explicit and i.i.d. laws walk their q(S) table in blocks of 2**16
-    masks; m = 17..18 puts the terms in more than one block."""
+    """Explicit laws, and i.i.d. laws whose subset sums do not coincide,
+    walk their q(S) table in blocks of 2**16 masks; m = 17..18 puts the
+    terms in more than one block."""
 
     def test_random_models_match_lattice_sum(self):
         rng = np.random.default_rng(25)

@@ -232,6 +232,20 @@ class TestCountLaws:
             for mask in range(1 << model.m):
                 assert table[mask] == model.avoidance_probability(mask)
 
+    @pytest.mark.parametrize("m", [1, 5, 9, 12])
+    def test_iid_table_equals_single_queries_exactly(self, m):
+        # the query adds p in bit order and evaluates (1 - c)**g as the
+        # table does; an fsum of p(S) differs in the last bit on many masks
+        rng = np.random.default_rng(m)
+        raw = rng.uniform(0.05, 1.0, size=m)
+        counts = rng.integers(1, 40, size=m)
+        for p in (raw / raw.sum(), counts / counts.sum()):
+            for g in (1, 3, 7):
+                model = IidWithinGroup(tuple(p.tolist()), g)
+                table = model.avoidance_table()
+                for mask in range(1 << m):
+                    assert table[mask] == model.avoidance_probability(mask)
+
 
 class TestMandelbrotWeights:
     def test_single_type(self):
