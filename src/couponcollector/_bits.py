@@ -79,9 +79,13 @@ def subset_sum_classes(
         del sums
         order = np.argsort(merged, kind="stable")  # merges the two sorted runs
         merged = merged[order]
-        signed = np.concatenate([signed, -signed])[order]
-        total = np.concatenate([total, total])[order]
-        largest = np.concatenate([largest, largest + np.uint8(1)])[order]
+        # one statement each, so the old run is freed before the gather
+        signed = np.concatenate([signed, -signed])
+        signed = signed[order]
+        total = np.concatenate([total, total])
+        total = total[order]
+        largest = np.concatenate([largest, largest + np.uint8(1)])
+        largest = largest[order]
         del order
         # float rounding can make a shifted run repeat a sum, and two equal
         # shifted sums can meet a third unshifted one: runs of equal sums
