@@ -22,23 +22,26 @@ The sums are the very floats of the 2**m lattice, so a_c * t_c is the
 exact total of that class's subset terms; each product is split into
 floats that sum to it exactly, in O(classes) memory. Real weights whose
 sums never coincide (a generic p) would make 2**m classes at about twice
-the lattice's cost, so such a law walks its q(S) table instead;
-the explicit laws (``WeightedDistinct``, ``DraftLottery``) always do, in
-blocks. Both paths feed their exact pieces, block by block, into one
-``math.fsum``, so for every model, on either path, the value is the
-correctly rounded sum of the 2**m subset terms. The sum alternates and
-can cancel heavily, and every result carries a cancellation-ratio
+the lattice's cost, so such a law walks its q(S) lattice instead;
+the explicit laws (``WeightedDistinct``, ``DraftLottery``) always do. The
+lattice walk reads q(S) from the model's ``avoidance_blocks``, 2**16
+masks at a time, and no path holds an array of 2**m entries. Both paths
+feed their exact pieces, block by block, into one exact sum
+(``_exact_sum``, which equals ``math.fsum`` without making a Python
+float of each piece), so for every model, on either path, the value is
+the correctly rounded sum of the 2**m subset terms. The sum alternates
+and can cancel heavily, and every result carries a cancellation-ratio
 diagnostic. The cap on m (``DEFAULT_EXACT_CAP``) holds for every model,
 and ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
-from ._bits import popcounts, subset_sum_classes, types_of
+from ._bits import _BLOCK_BITS, popcounts, subset_sum_classes, types_of
 from .errors import CapacityError, DivergenceError, InputError
 from .models import (
     GroupModel,
@@ -50,12 +53,6 @@ from .models import (
 )
 
 DEFAULT_EXACT_CAP = 24
-
-# masks or count classes per block: the temporaries stay small, and fsum
-# reads one block's floats at a time instead of one list of all. At
-# m = 24, N = 10**8 (about 2**24 count classes) one pass peaked at 962 MB
-# and took 4.5 s; in blocks, 399 MB and 2.3 s
-_BLOCK_BITS = 16
 
 # Real weights take the class path only when some subset sums of their
 # first _PROBE_VALUES values coincide; otherwise they walk the lattice,
@@ -116,14 +113,14 @@ def inclusion_exclusion_expectation(
     abs_sums = []
     truncated_at = 0
 
-    def piece_lists():
+    def pieces():
         nonlocal truncated_at
         for block_pieces, magnitudes, widest in source(model):
             abs_sums.append(float(magnitudes.sum()))
             truncated_at = max(truncated_at, widest)
-            yield block_pieces.tolist()
+            yield block_pieces
 
-    value = math.fsum(chain.from_iterable(piece_lists()))
+    value = _exact_sum(pieces())
     return ExpectationResult(
         value=value,
         terms_evaluated=(1 << model.m) - 1,
@@ -154,20 +151,69 @@ def _widest(sizes: np.ndarray, q: np.ndarray, offset: int) -> int:
 
 
 def _lattice_blocks(model: GroupModel):
-    """(terms, |terms|, largest |S| with q > 0) blocks of the q(S) table."""
-    q = model.avoidance_table()
-    stuck = np.flatnonzero(q[1:] >= 1.0)
-    if stuck.size:
-        _raise_stuck(int(stuck[0]) + 1)
+    """(terms, |terms|, largest |S| with q > 0) blocks of q(S), streamed
+    from ``avoidance_blocks``."""
     low = popcounts(min(model.m, _BLOCK_BITS))
     signs = np.where(low % 2 == 1, 1.0, -1.0)
-    for lo in range(0, q.size, low.size):
-        block = q[lo : lo + low.size]
+    for high, block in enumerate(model.avoidance_blocks(_BLOCK_BITS)):
+        lo = high * low.size
         first = 1 if lo == 0 else 0  # mask 0 (q = 1) is not a term
+        stuck = np.flatnonzero(block[first:] >= 1.0)
+        if stuck.size:
+            _raise_stuck(lo + first + int(stuck[0]))
         t = 1.0 / (1.0 - block[first:])
         # an aligned block's masks share their high bits, which flip signs
-        sign = -signs[first:] if lo.bit_count() % 2 else signs[first:]
-        yield sign * t, t, _widest(low, block, lo.bit_count())
+        sign = -signs[first:] if high.bit_count() % 2 else signs[first:]
+        yield sign * t, t, _widest(low, block, high.bit_count())
+
+
+# np.frexp's exponent of the smallest subnormal, 2**-1074
+_MIN_EXPONENT = -1073
+
+
+def _exact_sum(blocks) -> float:
+    """The correctly rounded sum of the floats in ``blocks`` (arrays of
+    finite float64, each of fewer than 2**26), equal to ``math.fsum`` of
+    them all.
+
+    A small superaccumulator (Neal 2015, arXiv:1505.05571): each block's
+    floats are summed exactly by exponent in two limbs (``_limb_sums``),
+    the totals are gathered in one Python int, and one correctly rounded
+    int division scales it back.
+    """
+    total = 0  # in units of 2**(_MIN_EXPONENT - 53)
+    for block in blocks:
+        lowest, highs, lows = _limb_sums(block)
+        shifts = range(lowest - _MIN_EXPONENT, lowest - _MIN_EXPONENT + len(highs))
+        for shift, high, low in zip(shifts, highs, lows):
+            if high or low:
+                total += (int(high) << (shift + 27)) + (int(low) << shift)
+    return total / (1 << (53 - _MIN_EXPONENT))
+
+
+def _limb_sums(x: np.ndarray) -> tuple[int, list, list]:
+    """(e0, high sums, low sums) of the floats in ``x`` by exponent: entry
+    i of each list sums one limb over the floats of np.frexp exponent
+    e0 + i.
+
+    Each float is m * 2**(e - 53) with m an integer below 2**53 in
+    magnitude (np.frexp's mantissa times 2**53), split into the high limb
+    floor(m / 2**27) and the low limb m - 2**27 * high in [0, 2**27).
+    """
+    scaled, exponent = np.frexp(x)
+    scaled *= 2.0**53
+    high = scaled * 2.0**-27
+    np.floor(high, out=high)
+    scaled -= high * 2.0**27  # now the low limb
+    lowest = int(exponent.min()) if exponent.size else 0
+    exponent -= lowest
+    # every limb is below 2**27 in magnitude, so with fewer than 2**26
+    # floats each float64 sum stays an exact integer
+    return (
+        lowest,
+        np.bincount(exponent, weights=high).tolist(),
+        np.bincount(exponent, weights=scaled).tolist(),
+    )
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,18 +16,22 @@ groups of constant size g, and five group distributions are supported:
   sampling of types).
 
 Every model answers the same query: the avoidance probability q(S), the
-chance that a single drawn group contains no type from the subset S.
-The models share one of two laws:
+chance that a single drawn group contains no type from the subset S,
+for one subset (``avoidance_probability``) or for all 2**m of them,
+streamed in aligned blocks of masks (``avoidance_blocks``) or gathered
+in one table (``avoidance_table``). The models share one of two laws:
 
 - count statistic (``UniformDistinct``, ``WithoutReplacement``,
   ``IidWithinGroup``): q(S) depends only on the excluded weight c, the sum
   of per-type weights over S. For the urns the weights are the integer
   counts and q(c) = P(N - c, g) / P(N, g); ``UniformDistinct`` is an urn
   of m singletons. For ``IidWithinGroup`` the weights are p and
-  q(c) = (1 - c)**g. The table and single queries add the weights in the
-  same order and evaluate q(c) the same way, so they agree bit for bit.
+  q(c) = (1 - c)**g. The blocks and single queries add the weights in
+  the same order and evaluate q(c) the same way, so they agree bit for
+  bit.
 - explicit (mask, weight) table (``WeightedDistinct``, ``DraftLottery``):
-  q(S) is the total weight of the listed groups disjoint from S.
+  q(S) is the total weight of the listed groups disjoint from S. Each
+  block sums the groups it counts into one row and zeta-transforms it.
 
 All model values are immutable after construction; sampling takes an
 explicit caller-owned random generator.
@@ -38,12 +42,12 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-from ._bits import mask_of, subset_sums, subset_zeta, types_of
-from .errors import DivergenceError, InputError
+from ._bits import _BLOCK_BITS, subset_sums, subset_zeta, types_of
+from .errors import CapacityError, DivergenceError, InputError
 
 PROB_SUM_TOLERANCE = 1e-9
 DRAFT_MAX_GROUP_SIZE = 8
@@ -110,8 +114,19 @@ class GroupModel(ABC):
         """Probability that one drawn group contains no type in the subset."""
 
     @abstractmethod
+    def avoidance_blocks(self, bits: int):
+        """Yield q(S) for every subset S in increasing mask order, in aligned
+        blocks of 2**min(bits, m) masks: block h holds the masks
+        h * 2**bits .. (h + 1) * 2**bits - 1. Each block is a new array."""
+
     def avoidance_table(self) -> np.ndarray:
         """q(S) for every subset S, as an array of length 2**m indexed by mask."""
+        table = np.empty(1 << self.m)
+        lo = 0
+        for block in self.avoidance_blocks(_BLOCK_BITS):
+            table[lo : lo + block.size] = block
+            lo += block.size
+        return table
 
     @abstractmethod
     def uncollectable_types(self) -> tuple[int, ...]:
@@ -136,9 +151,23 @@ class GroupModel(ABC):
         """One-line human-readable description."""
 
 
-def _subset_masks(m: int, k: int) -> np.ndarray:
-    """Bitmasks of every k-subset of m types, in lexicographic order."""
-    return np.array([mask_of(c) for c in combinations(range(m), k)], dtype=np.int64)
+def _subset_types(m: int, k: int) -> np.ndarray:
+    """The types of every k-subset of m types as uint8, one increasing row
+    per subset, rows in lexicographic order."""
+    count = math.comb(m, k)
+    flat = chain.from_iterable(combinations(range(m), k))
+    return np.fromiter(flat, dtype=np.uint8, count=count * k).reshape(count, k)
+
+
+def _masks_of_rows(types: np.ndarray) -> np.ndarray:
+    """The bitmask of each row of type indices, as int64 bit patterns."""
+    if types.size and int(types.max()) >= 64:
+        # a wider shift would wrap silently
+        raise CapacityError("an explicit group law holds at most 64 types")
+    masks = np.zeros(len(types), dtype=np.int64)
+    for t in types.T:
+        masks |= np.left_shift(1, t, dtype=np.int64)
+    return masks
 
 
 def _check_distinct_groups(m: int, g: int):
@@ -266,8 +295,17 @@ class _CountLaw(GroupModel):
             excluded += self._counts[i]
         return float(self._count_avoidance(np.array([excluded]))[0])
 
-    def avoidance_table(self) -> np.ndarray:
-        return self._count_avoidance(subset_sums(self._counts))
+    def avoidance_blocks(self, bits: int):
+        # each block adds its high weights to the low bits' sums in
+        # increasing bit order, so its sums are those of subset_sums
+        weights = np.asarray(self._counts, dtype=np.float64)
+        bits = min(bits, self.m)
+        low = subset_sums(weights[:bits])
+        for high in range(1 << (self.m - bits)):
+            excluded = low.copy() if high else low
+            for i in types_of(high << bits):
+                excluded += weights[i]
+            yield self._count_avoidance(excluded)
 
     def uncollectable_types(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self._counts) if c == 0)
@@ -298,17 +336,35 @@ class _ExplicitLaw(GroupModel):
         masks, weights = self._group_law
         return min(1.0, math.fsum(weights[(masks & subset_mask) == 0].tolist()))
 
-    def avoidance_table(self) -> np.ndarray:
+    def avoidance_blocks(self, bits: int):
+        # q(S) is the total weight of the groups inside the complement of
+        # S. The masks of block h share the high part h, so the groups it
+        # counts are those whose high part misses h: their low masks,
+        # zeta-summed in a row of 2**bits, give the block reversed
         masks, weights = self._group_law
-        # one 2**m array throughout: np.zeros leaves the pages untouched
-        # until the zeta writes them, and the clip works in place
-        lattice = np.zeros(1 << self.m)
-        np.add.at(lattice, masks, weights)
-        # q(S) = total weight of groups inside the complement of S
-        table = subset_zeta(lattice, copy=False)[::-1]
-        np.clip(table, 0.0, 1.0, out=table)
-        table[0] = 1.0
-        return table
+        bits = min(bits, self.m)
+        # runs of groups with one high part, each in the law's order, so
+        # that a block reads only the groups it counts
+        order = np.argsort(masks >> bits, kind="stable")
+        masks, weights = masks[order], weights[order]
+        parts, starts = np.unique(masks >> bits, return_index=True)
+        runs = list(zip(parts.tolist(), starts.tolist(), [*starts[1:].tolist(), None]))
+        low_parts = masks & ((1 << bits) - 1)
+        for high in range(1 << (self.m - bits)):
+            inside = [slice(a, b) for part, a, b in runs if not part & high]
+            if inside:
+                row = np.bincount(
+                    np.concatenate([low_parts[run] for run in inside]),
+                    weights=np.concatenate([weights[run] for run in inside]),
+                    minlength=1 << bits,
+                )
+            else:
+                row = np.zeros(1 << bits)
+            block = subset_zeta(row, copy=False)[::-1]
+            np.clip(block, 0.0, 1.0, out=block)
+            if high == 0:
+                block[0] = 1.0  # every group avoids the empty set
+            yield block
 
     def uncollectable_types(self) -> tuple[int, ...]:
         masks, weights = self._group_law
@@ -379,7 +435,8 @@ class WeightedDistinct(_ExplicitLaw):
 
     @cached_property
     def _group_law(self) -> tuple[np.ndarray, np.ndarray]:
-        return _subset_masks(self.m, self.g), np.asarray(self.weights, dtype=np.float64)
+        masks = _masks_of_rows(_subset_types(self.m, self.g))
+        return masks, np.asarray(self.weights, dtype=np.float64)
 
     @cached_property
     def _cum_weights(self) -> np.ndarray:
@@ -514,34 +571,37 @@ class DraftLottery(_ExplicitLaw):
     def _group_law(self) -> tuple[np.ndarray, np.ndarray]:
         """(masks, weights) of every g-subset under the successive-sampling law.
 
-        Built by a lattice recursion on prefix sets: the probability W(A)
-        that the first |A| distinct types are exactly A satisfies
-        W(A) = sum over t in A of W(A - {t}) * p[t] / (1 - mass(A - {t})).
+        Built level by level over the subsets of at most g types: the
+        probability W(A) that the first |A| distinct types are exactly A
+        satisfies W(A) = sum over t in A of W(A - {t}) * p[t] /
+        (1 - mass(A - {t})). Each mass adds p in increasing type order, as
+        ``subset_sums`` does, and each W adds its terms in that order.
         """
         m, g = self.m, self.g
         p = np.asarray(self.p, dtype=np.float64)
-        mass = subset_sums(p)
-        prefix = np.zeros(1 << m)
-        prefix[0] = 1.0
+        masks = np.zeros(1, dtype=np.int64)  # level 0: the empty set
+        mass = np.zeros(1)
+        prefix = np.ones(1)
         for k in range(1, g + 1):
-            masks_k = _subset_masks(m, k)
+            types = _subset_types(m, k)
+            masks_k = _masks_of_rows(types)
+            # the level below in increasing mask order, to look up A - {t}
+            order = np.argsort(masks)
+            ordered = masks[order]
             acc = np.zeros(len(masks_k))
-            for b in range(m):
-                if p[b] == 0.0:
-                    continue
-                bit = 1 << b
-                sel = (masks_k & bit) != 0
-                if not sel.any():
-                    continue
-                before = masks_k[sel] ^ bit
+            for t in types.T:
+                bit = np.left_shift(1, t, dtype=np.int64)
+                before = order[np.searchsorted(ordered, masks_k ^ bit)]
                 left = 1.0 - mass[before]
-                ratio = np.where(left > 0.0, p[b] / np.where(left > 0.0, left, 1.0), 0.0)
-                acc[sel] += prefix[before] * ratio
-            prefix[masks_k] = acc
-        # masks_k now holds the g-subsets; the recursion accumulates
-        # rounding of order ulp, so renormalize to total mass 1
-        group_weights = prefix[masks_k]
-        return masks_k, group_weights / math.fsum(group_weights.tolist())
+                ratio = np.where(left > 0.0, p[t] / np.where(left > 0.0, left, 1.0), 0.0)
+                acc += prefix[before] * ratio
+            mass = np.zeros(len(masks_k))
+            for t in types.T:
+                mass += p[t]
+            masks, prefix = masks_k, acc
+        # masks now holds the g-subsets; the recursion accumulates rounding
+        # of order ulp, so renormalize to total mass 1
+        return masks, prefix / math.fsum(prefix.tolist())
 
     def uncollectable_types(self) -> tuple[int, ...]:
         # at least g types have p > 0, so each of them is drawn first into

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couponcollector import (
     CapacityError,
@@ -261,7 +264,7 @@ class TestIidPath:
         model = IidWithinGroup(tuple(p / p.sum()), 3)
         sources, tables, _ = _engine_path(monkeypatch, model)
         assert sources == ["_lattice_blocks"]
-        assert tables == 1
+        assert tables == 0  # the engine streams avoidance_blocks
 
     @pytest.mark.parametrize(
         "seed, reaches_1", [(0, True), (5, False), (16, False), (18, True)]
@@ -315,6 +318,95 @@ class TestLatticePath:
         terms, _ = _lattice(model)
         value = inclusion_exclusion_expectation(model).value
         assert value == math.fsum(terms.tolist()) == 229.83707876017974
+
+
+# every finite double, subnormals included; magnitudes stay below 2**1000
+# so that no partial sum of math.fsum overflows
+_anywhere = st.one_of(
+    st.floats(-(2.0**1000), 2.0**1000),
+    st.builds(
+        math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1126, 947)
+    ),
+)
+_arrays = st.lists(_anywhere, max_size=40).map(np.array)
+
+
+def _fsum_of(blocks) -> float:
+    return math.fsum(x for block in blocks for x in block.tolist())
+
+
+class TestExactSum:
+    """``engine._exact_sum`` is ``math.fsum`` bit for bit."""
+
+    @given(st.lists(_arrays, max_size=8))
+    @settings(max_examples=300)
+    def test_mixed_signs_and_exponents(self, blocks):
+        assert engine._exact_sum(blocks).hex() == _fsum_of(blocks).hex()
+
+    @given(st.lists(_anywhere, max_size=60), st.randoms(use_true_random=False))
+    def test_exact_cancellation(self, values, random):
+        values = values + [-v for v in values]
+        random.shuffle(values)
+        blocks = [np.array(values[:7]), np.array(values[7:])]
+        assert engine._exact_sum(blocks).hex() == _fsum_of(blocks).hex() == "0x0.0p+0"
+
+    @given(st.lists(st.one_of(st.just([]), _anywhere.map(lambda x: [x])), max_size=30))
+    def test_empty_and_one_element_blocks(self, lists):
+        blocks = [np.array(x, dtype=np.float64) for x in lists]
+        assert engine._exact_sum(blocks).hex() == _fsum_of(blocks).hex()
+
+    @given(
+        st.integers(-1074, 1000),
+        st.lists(st.integers(1 << 52, (1 << 53) - 1), min_size=1, max_size=4),
+        st.sampled_from([1.0, -1.0]),
+    )
+    @settings(max_examples=40)
+    def test_a_full_block_of_one_exponent(self, exponent, mantissas, sign):
+        # 2**17 floats (the engine's largest block) of one exponent and
+        # near-full mantissas: one bin's limbs add to about 2**44, and
+        # only the split into limbs keeps that sum exact
+        values = [sign * math.ldexp(m, exponent - 52) for m in mantissas]
+        block = np.resize(np.array(values), 1 << 17)
+        assert engine._exact_sum([block]).hex() == _fsum_of([block]).hex()
+
+
+class TestLatticeStreaming:
+    """The engine walks the lattice laws' q(S) block by block and holds
+    no 2**m array."""
+
+    @pytest.mark.parametrize("m, mask", [(12, 1 << 11), (18, 1 << 17)])
+    def test_stuck_mask_in_a_later_block(self, m, mask):
+        # the last type's only group has weight 2**-60, so q({last}) rounds
+        # to 1; every other q(S) stays below 1. At m = 18 that mask is in
+        # the third block of 2**16
+        w = [1 / 16] * (m - 3) + [1 / 32] * 2 + [2.0**-60]
+        w[0] += 1 - math.fsum(w[:-1])
+        model = WeightedDistinct(m, 1, tuple(w))
+        with pytest.raises(DivergenceError, match="jointly avoided") as err:
+            inclusion_exclusion_expectation(model)
+        assert err.value.subset_mask == mask
+        assert np.flatnonzero(model.avoidance_table()[1:] >= 1.0)[0] + 1 == mask
+
+    @pytest.mark.parametrize("kind", ["weighted", "draft", "iid"])
+    def test_memory_stays_below_a_quarter_of_the_table(self, kind):
+        m, g = 22, 3
+        rng = np.random.default_rng(m)
+        p = rng.uniform(0.1, 1.0, size=m)
+        p = tuple(p / p.sum())  # a generic p, so i.i.d. takes the lattice
+        if kind == "weighted":
+            w = rng.uniform(0.1, 1.0, size=math.comb(m, 2))
+            model = WeightedDistinct(m, 2, tuple(w / w.sum()))
+        elif kind == "draft":
+            model = DraftLottery(p, g)
+        else:
+            model = IidWithinGroup(p, g)
+        tracemalloc.start()
+        try:
+            inclusion_exclusion_expectation(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 << m) // 4
 
 
 class TestSpecializations:

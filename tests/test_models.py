@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couponcollector import (
+    CapacityError,
     DraftLottery,
     IidWithinGroup,
     InputError,
@@ -19,6 +20,8 @@ from couponcollector import (
     model_from_dict,
     population_from_weights,
 )
+from couponcollector._bits import mask_of, subset_sums, subset_zeta
+from couponcollector.models import DRAFT_MAX_GROUP_SIZE
 from conftest import random_model
 
 PAPER_COUNTS = (10, 100, 500, 1000)
@@ -245,6 +248,146 @@ class TestCountLaws:
                 table = model.avoidance_table()
                 for mask in range(1 << m):
                     assert table[mask] == model.avoidance_probability(mask)
+
+
+def _add_at_table(model):
+    """An explicit law's q(S) table built whole: np.add.at of the group
+    weights into a 2**m lattice, one zeta over it, reversed and clipped."""
+    masks, weights = model._group_law
+    lattice = np.zeros(1 << model.m)
+    np.add.at(lattice, masks, weights)
+    table = subset_zeta(lattice)[::-1].copy()
+    np.clip(table, 0.0, 1.0, out=table)
+    table[0] = 1.0
+    return table
+
+
+def _explicit_models(rng, m, group_sizes):
+    """A WeightedDistinct (about a fifth of its weights 0) for each group
+    size, and a DraftLottery for each one it supports."""
+    for g in group_sizes:
+        w = rng.uniform(0.0, 1.0, size=math.comb(m, g))
+        w[rng.random(w.size) < 0.2] = 0.0
+        w[0] = 1.0
+        yield WeightedDistinct(m, g, tuple(w / w.sum()))
+        if g <= DRAFT_MAX_GROUP_SIZE:
+            p = rng.uniform(0.05, 1.0, size=m)
+            yield DraftLottery(tuple(p / p.sum()), g)
+
+
+class TestLatticeBlocks:
+    """``avoidance_blocks`` yields q(S) in aligned blocks of masks, and
+    ``avoidance_table`` gathers its blocks of 2**16."""
+
+    @pytest.mark.parametrize("m", [2, 7, 12, 16])
+    def test_explicit_table_is_the_whole_lattice_table_up_to_16_types(self, m):
+        # one block: the same additions in the same order
+        rng = np.random.default_rng(m)
+        for model in _explicit_models(rng, m, sorted({1, m // 2, m - 1})):
+            assert np.array_equal(model.avoidance_table(), _add_at_table(model))
+
+    @pytest.mark.parametrize("m", [17, 18, 20])
+    def test_explicit_table_is_within_1e15_above_16_types(self, m):
+        # each block adds the groups in another order; with g = m - 1 no
+        # group misses all the high types, so the last block counts none
+        rng = np.random.default_rng(m)
+        for model in _explicit_models(rng, m, (1, 3, m - 1)):
+            np.testing.assert_allclose(
+                model.avoidance_table(), _add_at_table(model), rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("bits", range(1, 11))
+    def test_explicit_blocks_of_every_width(self, bits):
+        rng = np.random.default_rng(bits)
+        for model in _explicit_models(rng, 10, (2, 4)):
+            blocks = list(model.avoidance_blocks(bits))
+            assert [b.size for b in blocks] == [1 << bits] * (1 << (10 - bits))
+            np.testing.assert_allclose(
+                np.concatenate(blocks), _add_at_table(model), rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("m", [5, 12, 17, 18])
+    def test_count_blocks_are_the_subset_sums_table(self, m):
+        rng = np.random.default_rng(m)
+        p = rng.uniform(0.1, 1.0, size=m)
+        counts = rng.integers(1, 50, size=m)
+        models = [
+            IidWithinGroup(tuple(p / p.sum()), 3),
+            IidWithinGroup(tuple(counts / counts.sum()), 2),
+            WithoutReplacement(Population(tuple(counts.tolist())), 4),
+            UniformDistinct(m, 2),
+        ]
+        for model in models:
+            whole = model._count_avoidance(subset_sums(model._counts))
+            for bits in (3, 16):
+                blocks = np.concatenate(list(model.avoidance_blocks(bits)))
+                assert np.array_equal(blocks, whole)
+            assert np.array_equal(model.avoidance_table(), whole)
+
+
+def _prefix_lattice_group_law(p, g):
+    """DraftLottery's group law built over the whole 2**m lattice of prefix
+    sets, with ``subset_sums`` for the masses: the reference construction."""
+    m = len(p)
+    p = np.asarray(p, dtype=np.float64)
+    mass = subset_sums(p)
+    prefix = np.zeros(1 << m)
+    prefix[0] = 1.0
+    for k in range(1, g + 1):
+        masks_k = np.array(
+            [mask_of(c) for c in combinations(range(m), k)], dtype=np.int64
+        )
+        acc = np.zeros(len(masks_k))
+        for b in range(m):
+            if p[b] == 0.0:
+                continue
+            bit = 1 << b
+            sel = (masks_k & bit) != 0
+            if not sel.any():
+                continue
+            before = masks_k[sel] ^ bit
+            left = 1.0 - mass[before]
+            ratio = np.where(left > 0.0, p[b] / np.where(left > 0.0, left, 1.0), 0.0)
+            acc[sel] += prefix[before] * ratio
+        prefix[masks_k] = acc
+    group_weights = prefix[masks_k]
+    return masks_k, group_weights / math.fsum(group_weights.tolist())
+
+
+@pytest.mark.parametrize(
+    "model",
+    [WeightedDistinct(65, 1, (1 / 65,) * 65), DraftLottery((1 / 65,) * 65, 2)],
+    ids=["weighted", "draft"],
+)
+def test_explicit_laws_above_64_types_raise_capacity_error(model):
+    # an int64 group mask cannot hold type 64
+    with pytest.raises(CapacityError, match="at most 64 types"):
+        model.avoidance_probability(1)
+
+
+def test_explicit_law_masks_hold_64_types():
+    # type 63 is the int64 sign bit, which the simulator reads as uint64
+    masks, _ = WeightedDistinct(64, 1, (1 / 64,) * 64)._group_law
+    assert masks.view(np.uint64).tolist() == [1 << i for i in range(64)]
+
+
+class TestDraftGroupLaw:
+    def test_equals_the_prefix_lattice_construction(self):
+        rng = np.random.default_rng(31)
+        cases = [((0.6, 0.4, 1e-18, 1e-18), 3)]  # a prefix mass rounds to 1
+        for _ in range(40):
+            m = int(rng.integers(2, 13))
+            g = int(rng.integers(1, min(8, m - 1) + 1))
+            p = rng.uniform(0.0, 1.0, size=m)
+            p[rng.random(m) < 0.2] = 0.0
+            p[: g + 1] += 0.01  # at least g types of positive probability
+            cases.append((tuple(p / p.sum()), g))
+        for p, g in cases:
+            masks, weights = DraftLottery(p, g)._group_law
+            ref_masks, ref_weights = _prefix_lattice_group_law(DraftLottery(p, g).p, g)
+            assert masks.dtype == ref_masks.dtype
+            assert np.array_equal(masks, ref_masks)
+            assert np.array_equal(weights, ref_weights)
 
 
 class TestMandelbrotWeights:
