@@ -140,14 +140,6 @@ def subset_zeta(values: np.ndarray, copy: bool = True) -> np.ndarray:
     if 1 << m != n:
         raise ValueError("length must be a power of two")
     for b in range(m):
-        size = 1 << b
-        if size < 16:
-            # numpy is slow over the 3-d view's short inner runs; a strided
-            # pass per offset does the same additions (2**16 masks: 0.67
-            # instead of 1.2 ms)
-            for j in range(size):
-                out[size + j :: 2 * size] += out[j :: 2 * size]
-        else:
-            block = out.reshape(-1, 2, size)
-            block[:, 1, :] += block[:, 0, :]
+        block = out.reshape(-1, 2, 1 << b)
+        block[:, 1, :] += block[:, 0, :]
     return out

@@ -155,7 +155,7 @@ def _lattice_blocks(model: GroupModel):
     from ``avoidance_blocks``."""
     low = popcounts(min(model.m, _BLOCK_BITS))
     signs = np.where(low % 2 == 1, 1.0, -1.0)
-    for high, block in enumerate(model.avoidance_blocks(_BLOCK_BITS)):
+    for high, block in enumerate(model.avoidance_blocks()):
         lo = high * low.size
         first = 1 if lo == 0 else 0  # mask 0 (q = 1) is not a term
         stuck = np.flatnonzero(block[first:] >= 1.0)

@@ -114,16 +114,16 @@ class GroupModel(ABC):
         """Probability that one drawn group contains no type in the subset."""
 
     @abstractmethod
-    def avoidance_blocks(self, bits: int):
+    def avoidance_blocks(self):
         """Yield q(S) for every subset S in increasing mask order, in aligned
-        blocks of 2**min(bits, m) masks: block h holds the masks
-        h * 2**bits .. (h + 1) * 2**bits - 1. Each block is a new array."""
+        blocks of 2**b masks, b = min(_BLOCK_BITS, m): block h holds the
+        masks h * 2**b .. (h + 1) * 2**b - 1. Each block is a new array."""
 
     def avoidance_table(self) -> np.ndarray:
         """q(S) for every subset S, as an array of length 2**m indexed by mask."""
         table = np.empty(1 << self.m)
         lo = 0
-        for block in self.avoidance_blocks(_BLOCK_BITS):
+        for block in self.avoidance_blocks():
             table[lo : lo + block.size] = block
             lo += block.size
         return table
@@ -154,19 +154,19 @@ class GroupModel(ABC):
 def _subset_types(m: int, k: int) -> np.ndarray:
     """The types of every k-subset of m types as uint8, one increasing row
     per subset, rows in lexicographic order."""
+    if m > 64:
+        # an explicit law's group masks are uint64
+        raise CapacityError("an explicit group law holds at most 64 types")
     count = math.comb(m, k)
     flat = chain.from_iterable(combinations(range(m), k))
     return np.fromiter(flat, dtype=np.uint8, count=count * k).reshape(count, k)
 
 
 def _masks_of_rows(types: np.ndarray) -> np.ndarray:
-    """The bitmask of each row of type indices, as int64 bit patterns."""
-    if types.size and int(types.max()) >= 64:
-        # a wider shift would wrap silently
-        raise CapacityError("an explicit group law holds at most 64 types")
-    masks = np.zeros(len(types), dtype=np.int64)
+    """The uint64 bitmask of each row of type indices below 64."""
+    masks = np.zeros(len(types), dtype=np.uint64)
     for t in types.T:
-        masks |= np.left_shift(1, t, dtype=np.int64)
+        masks |= np.left_shift(1, t, dtype=np.uint64)
     return masks
 
 
@@ -295,11 +295,11 @@ class _CountLaw(GroupModel):
             excluded += self._counts[i]
         return float(self._count_avoidance(np.array([excluded]))[0])
 
-    def avoidance_blocks(self, bits: int):
+    def avoidance_blocks(self):
         # each block adds its high weights to the low bits' sums in
         # increasing bit order, so its sums are those of subset_sums
         weights = np.asarray(self._counts, dtype=np.float64)
-        bits = min(bits, self.m)
+        bits = min(_BLOCK_BITS, self.m)
         low = subset_sums(weights[:bits])
         for high in range(1 << (self.m - bits)):
             excluded = low.copy() if high else low
@@ -334,22 +334,23 @@ class _ExplicitLaw(GroupModel):
         if subset_mask == 0:
             return 1.0  # every group avoids nothing
         masks, weights = self._group_law
-        return min(1.0, math.fsum(weights[(masks & subset_mask) == 0].tolist()))
+        inside = (masks & np.uint64(subset_mask)) == 0
+        return min(1.0, math.fsum(weights[inside].tolist()))
 
-    def avoidance_blocks(self, bits: int):
+    def avoidance_blocks(self):
         # q(S) is the total weight of the groups inside the complement of
         # S. The masks of block h share the high part h, so the groups it
         # counts are those whose high part misses h: their low masks,
         # zeta-summed in a row of 2**bits, give the block reversed
         masks, weights = self._group_law
-        bits = min(bits, self.m)
+        bits = min(_BLOCK_BITS, self.m)
         # runs of groups with one high part, each in the law's order, so
         # that a block reads only the groups it counts
         order = np.argsort(masks >> bits, kind="stable")
         masks, weights = masks[order], weights[order]
         parts, starts = np.unique(masks >> bits, return_index=True)
         runs = list(zip(parts.tolist(), starts.tolist(), [*starts[1:].tolist(), None]))
-        low_parts = masks & ((1 << bits) - 1)
+        low_parts = (masks & ((1 << bits) - 1)).astype(np.intp)
         for high in range(1 << (self.m - bits)):
             inside = [slice(a, b) for part, a, b in runs if not part & high]
             if inside:
@@ -451,7 +452,7 @@ class WeightedDistinct(_ExplicitLaw):
         target = uniforms[:, 0] * cum[-1]
         idx = np.searchsorted(cum, target, side="right")
         idx = np.minimum(idx, len(cum) - 1)
-        return self._group_law[0][idx].astype(np.uint64)
+        return self._group_law[0][idx]
 
     def describe(self) -> str:
         return f"weighted_distinct(m={self.m}, g={self.g})"
@@ -579,7 +580,7 @@ class DraftLottery(_ExplicitLaw):
         """
         m, g = self.m, self.g
         p = np.asarray(self.p, dtype=np.float64)
-        masks = np.zeros(1, dtype=np.int64)  # level 0: the empty set
+        masks = np.zeros(1, dtype=np.uint64)  # level 0: the empty set
         mass = np.zeros(1)
         prefix = np.ones(1)
         for k in range(1, g + 1):
@@ -590,7 +591,7 @@ class DraftLottery(_ExplicitLaw):
             ordered = masks[order]
             acc = np.zeros(len(masks_k))
             for t in types.T:
-                bit = np.left_shift(1, t, dtype=np.int64)
+                bit = np.left_shift(1, t, dtype=np.uint64)
                 before = order[np.searchsorted(ordered, masks_k ^ bit)]
                 left = 1.0 - mass[before]
                 ratio = np.where(left > 0.0, p[t] / np.where(left > 0.0, left, 1.0), 0.0)

@@ -16,6 +16,7 @@ from couponcollector import (
     WeightedDistinct,
     WithoutReplacement,
     avoidance_probability,
+    first_occurrence_expectation,
     mandelbrot_weights,
     model_from_dict,
     population_from_weights,
@@ -296,16 +297,6 @@ class TestLatticeBlocks:
                 model.avoidance_table(), _add_at_table(model), rtol=0, atol=1e-15
             )
 
-    @pytest.mark.parametrize("bits", range(1, 11))
-    def test_explicit_blocks_of_every_width(self, bits):
-        rng = np.random.default_rng(bits)
-        for model in _explicit_models(rng, 10, (2, 4)):
-            blocks = list(model.avoidance_blocks(bits))
-            assert [b.size for b in blocks] == [1 << bits] * (1 << (10 - bits))
-            np.testing.assert_allclose(
-                np.concatenate(blocks), _add_at_table(model), rtol=0, atol=1e-15
-            )
-
     @pytest.mark.parametrize("m", [5, 12, 17, 18])
     def test_count_blocks_are_the_subset_sums_table(self, m):
         rng = np.random.default_rng(m)
@@ -319,9 +310,9 @@ class TestLatticeBlocks:
         ]
         for model in models:
             whole = model._count_avoidance(subset_sums(model._counts))
-            for bits in (3, 16):
-                blocks = np.concatenate(list(model.avoidance_blocks(bits)))
-                assert np.array_equal(blocks, whole)
+            blocks = list(model.avoidance_blocks())
+            assert [b.size for b in blocks] == [1 << min(m, 16)] * (1 << max(m - 16, 0))
+            assert np.array_equal(np.concatenate(blocks), whole)
             assert np.array_equal(model.avoidance_table(), whole)
 
 
@@ -354,21 +345,37 @@ def _prefix_lattice_group_law(p, g):
     return masks_k, group_weights / math.fsum(group_weights.tolist())
 
 
-@pytest.mark.parametrize(
-    "model",
-    [WeightedDistinct(65, 1, (1 / 65,) * 65), DraftLottery((1 / 65,) * 65, 2)],
-    ids=["weighted", "draft"],
-)
-def test_explicit_laws_above_64_types_raise_capacity_error(model):
-    # an int64 group mask cannot hold type 64
+@pytest.mark.parametrize("m", [65, 300])
+@pytest.mark.parametrize("law", [WeightedDistinct, DraftLottery])
+def test_explicit_laws_above_64_types_raise_capacity_error(law, m):
+    # a uint64 group mask cannot hold type 64
+    if law is WeightedDistinct:
+        model = WeightedDistinct(m, 1, (1 / m,) * m)
+    else:
+        model = DraftLottery((1 / m,) * m, 2)
     with pytest.raises(CapacityError, match="at most 64 types"):
         model.avoidance_probability(1)
 
 
-def test_explicit_law_masks_hold_64_types():
-    # type 63 is the int64 sign bit, which the simulator reads as uint64
-    masks, _ = WeightedDistinct(64, 1, (1 / 64,) * 64)._group_law
-    assert masks.view(np.uint64).tolist() == [1 << i for i in range(64)]
+@pytest.mark.parametrize(
+    "model, q, wait",
+    [
+        (WeightedDistinct(64, 1, (1 / 64,) * 64), 63 / 64, 64.0),
+        (DraftLottery((1 / 64,) * 64, 2), 62 / 64, 32.0),
+    ],
+    ids=["weighted", "draft"],
+)
+def test_explicit_laws_answer_queries_on_type_63(model, q, wait):
+    # type 63 is the top bit of a uint64 group mask
+    assert model.avoidance_probability(1 << 63) == pytest.approx(q)
+    assert first_occurrence_expectation(model, 63) == pytest.approx(wait)
+    assert model.uncollectable_types() == ()
+
+
+def test_weighted_distinct_masks_hold_64_types():
+    model = WeightedDistinct(64, 1, (1 / 64,) * 64)
+    assert model._group_law[0].tolist() == [1 << i for i in range(64)]
+    assert model.draw_groups(np.array([[1 - 1e-9]])).tolist() == [1 << 63]
 
 
 class TestDraftGroupLaw:
@@ -385,7 +392,7 @@ class TestDraftGroupLaw:
         for p, g in cases:
             masks, weights = DraftLottery(p, g)._group_law
             ref_masks, ref_weights = _prefix_lattice_group_law(DraftLottery(p, g).p, g)
-            assert masks.dtype == ref_masks.dtype
+            assert masks.dtype == np.uint64
             assert np.array_equal(masks, ref_masks)
             assert np.array_equal(weights, ref_weights)
 
