@@ -139,7 +139,16 @@ def subset_zeta(values: np.ndarray, copy: bool = True) -> np.ndarray:
     m = n.bit_length() - 1
     if 1 << m != n:
         raise ValueError("length must be a power of two")
-    for b in range(m):
+    # numpy is slow over the short inner runs of bits 0-3, so those passes
+    # add whole strided columns of a row-of-16 view instead: the same
+    # additions, in the same order
+    low = min(m, 4)
+    cols = out.reshape(-1, 1 << low)
+    for b in range(low):
+        for j in range(1 << low):
+            if j & (1 << b):
+                cols[:, j] += cols[:, j ^ (1 << b)]
+    for b in range(low, m):
         block = out.reshape(-1, 2, 1 << b)
         block[:, 1, :] += block[:, 0, :]
     return out

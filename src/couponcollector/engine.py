@@ -36,6 +36,7 @@ and ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -64,6 +65,11 @@ DEFAULT_EXACT_CAP = 24
 # whose sums do not. The probe costs 0.3 ms. A generic p with one value
 # repeated still collides and takes the class path, 1.3x the lattice.
 _PROBE_VALUES = 12
+
+# The most subset-sum classes a count law may build, as many as the
+# default cap allows: at m = 24, N = 10**8 the 2**23 classes of the
+# first 23 counts took 380 MB, about 45 B each
+_MAX_CLASSES = 1 << (DEFAULT_EXACT_CAP - 1)
 
 
 @dataclass(frozen=True)
@@ -146,74 +152,81 @@ def _sums_by_class(model: GroupModel) -> bool:
 
 def _widest(sizes: np.ndarray, q: np.ndarray, offset: int) -> int:
     """Largest offset + size among entries with q > 0, else 0."""
-    contributing = sizes[q > 0.0]
-    return offset + int(contributing.max()) if contributing.size else 0
+    contributing = q > 0.0
+    if not contributing.any():
+        return 0
+    return offset + int(sizes.max(where=contributing, initial=0))
 
 
 def _lattice_blocks(model: GroupModel):
     """(terms, |terms|, largest |S| with q > 0) blocks of q(S), streamed
-    from ``avoidance_blocks``."""
+    from ``avoidance_blocks``.
+
+    Each block is computed in place in the array that ``avoidance_blocks``
+    yields, and the signed terms of every block go to one buffer, so a
+    block makes no float array of its size: on 2**16 masks each such
+    temporary costs more in page faults than its arithmetic.
+    """
     low = popcounts(min(model.m, _BLOCK_BITS))
     signs = np.where(low % 2 == 1, 1.0, -1.0)
+    # an aligned block's masks share their high bits, which flip signs
+    flipped = -signs
+    terms = np.empty(low.size)
     for high, block in enumerate(model.avoidance_blocks()):
         lo = high * low.size
         first = 1 if lo == 0 else 0  # mask 0 (q = 1) is not a term
         stuck = np.flatnonzero(block[first:] >= 1.0)
         if stuck.size:
             _raise_stuck(lo + first + int(stuck[0]))
-        t = 1.0 / (1.0 - block[first:])
-        # an aligned block's masks share their high bits, which flip signs
-        sign = -signs[first:] if high.bit_count() % 2 else signs[first:]
-        yield sign * t, t, _widest(low, block, high.bit_count())
+        widest = _widest(low, block, high.bit_count())
+        t = block[first:]
+        np.subtract(1.0, t, out=t)
+        np.divide(1.0, t, out=t)
+        sign = flipped if high.bit_count() % 2 else signs
+        signed = terms[: t.size]
+        np.multiply(sign[first:], t, out=signed)
+        yield signed, t, widest
 
 
-# np.frexp's exponent of the smallest subnormal, 2**-1074
-_MIN_EXPONENT = -1073
+# the exact sum's fixed point, 2**-_UNIT_SHIFT: every level has
+# s >= -1073 - 52 (a subnormal's exponent less bits), so its 2**s is a
+# whole number of units
+_UNIT_SHIFT = 1200
 
 
 def _exact_sum(blocks) -> float:
     """The correctly rounded sum of the floats in ``blocks`` (arrays of
     finite float64, each of fewer than 2**26), equal to ``math.fsum`` of
-    them all.
+    them all. The blocks are not modified.
 
-    A small superaccumulator (Neal 2015, arXiv:1505.05571): each block's
-    floats are summed exactly by exponent in two limbs (``_limb_sums``),
-    the totals are gathered in one Python int, and one correctly rounded
-    int division scales it back.
+    Each block is cut into binary levels (after Rump, Ogita & Oishi,
+    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
+    2008). With n floats a level's integers stay below 2**bits, bits =
+    52 - n.bit_length(), so their float64 sum is exact: the level at 2**s,
+    s the exponent of the largest |x| less bits, takes the integer
+    multiples of 2**s out of every float, truncated toward zero, and
+    leaves the remainders, each below 2**s, to the next level. The level
+    sums are gathered in one Python int, and one correctly rounded int
+    division scales it back.
     """
-    total = 0  # in units of 2**(_MIN_EXPONENT - 53)
+    total = 0  # in units of 2**-_UNIT_SHIFT
+    rest = level = np.empty(0)
     for block in blocks:
-        lowest, highs, lows = _limb_sums(block)
-        shifts = range(lowest - _MIN_EXPONENT, lowest - _MIN_EXPONENT + len(highs))
-        for shift, high, low in zip(shifts, highs, lows):
-            if high or low:
-                total += (int(high) << (shift + 27)) + (int(low) << shift)
-    return total / (1 << (53 - _MIN_EXPONENT))
-
-
-def _limb_sums(x: np.ndarray) -> tuple[int, list, list]:
-    """(e0, high sums, low sums) of the floats in ``x`` by exponent: entry
-    i of each list sums one limb over the floats of np.frexp exponent
-    e0 + i.
-
-    Each float is m * 2**(e - 53) with m an integer below 2**53 in
-    magnitude (np.frexp's mantissa times 2**53), split into the high limb
-    floor(m / 2**27) and the low limb m - 2**27 * high in [0, 2**27).
-    """
-    scaled, exponent = np.frexp(x)
-    scaled *= 2.0**53
-    high = scaled * 2.0**-27
-    np.floor(high, out=high)
-    scaled -= high * 2.0**27  # now the low limb
-    lowest = int(exponent.min()) if exponent.size else 0
-    exponent -= lowest
-    # every limb is below 2**27 in magnitude, so with fewer than 2**26
-    # floats each float64 sum stays an exact integer
-    return (
-        lowest,
-        np.bincount(exponent, weights=high).tolist(),
-        np.bincount(exponent, weights=scaled).tolist(),
-    )
+        n = block.size
+        if n > rest.size:
+            rest, level = np.empty(n), np.empty(n)
+        bits = 52 - n.bit_length()
+        x, y = block, level[:n]
+        # the first level reads the block, each later one the remainders
+        while n and (top := max(x.max(), -x.min())) > 0.0:
+            s = math.frexp(top)[1] - bits
+            np.ldexp(x, -s, out=y)  # exact, or below 1 where it underflows
+            np.trunc(y, out=y)
+            total += int(y.sum()) << (s + _UNIT_SHIFT)
+            np.ldexp(y, s, out=y)
+            # exact: each remainder keeps the low bits of its float
+            x = np.subtract(x, y, out=rest[:n])
+    return total / (1 << _UNIT_SHIFT)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +272,21 @@ def _count_law_blocks(model: _CountLaw):
     stuck = np.flatnonzero(singles >= 1.0)
     if stuck.size:
         _raise_stuck(1 << int(stuck[0]))
-    sums, signed, total, largest = subset_sum_classes(counts[:-1])
+    # bounded before the build, which would run out of memory instead.
+    # Integer counts whose sums stay exact make at most N + 1 distinct
+    # sums, and no more than their sub-multisets
+    head = counts[:-1]
+    classes = 1 << len(head)
+    if all(float(v).is_integer() for v in head) and sum(head) < 2**53:
+        multisets = math.prod(k + 1 for k in Counter(head).values())
+        classes = min(int(sum(head)) + 1, multisets)
+    if classes > _MAX_CLASSES:
+        raise CapacityError(
+            f"the subset sums of {len(head)} weights make up to {classes} "
+            f"classes, above the class path's {_MAX_CLASSES} "
+            f"(2**{DEFAULT_EXACT_CAP - 1}); use the Monte Carlo oracle"
+        )
+    sums, signed, total, largest = subset_sum_classes(head)
     # without the last type c = 0 is only the empty set, not a term
     for shift, sign, first, added in ((0, -1.0, 1, 0), (counts[-1], 1.0, 0, 1)):
         for lo in range(first, sums.size, 1 << _BLOCK_BITS):

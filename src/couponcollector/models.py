@@ -117,7 +117,8 @@ class GroupModel(ABC):
     def avoidance_blocks(self):
         """Yield q(S) for every subset S in increasing mask order, in aligned
         blocks of 2**b masks, b = min(_BLOCK_BITS, m): block h holds the
-        masks h * 2**b .. (h + 1) * 2**b - 1. Each block is a new array."""
+        masks h * 2**b .. (h + 1) * 2**b - 1. Each block is a new array
+        that the caller owns and may overwrite."""
 
     def avoidance_table(self) -> np.ndarray:
         """q(S) for every subset S, as an array of length 2**m indexed by mask."""

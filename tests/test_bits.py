@@ -77,6 +77,31 @@ def test_subset_zeta_matches_brute_force():
         assert zeta[mask] == pytest.approx(expected, rel=1e-12)
 
 
+def _zeta_bit_by_bit(values):
+    """The reference transform: one pass per bit over a 3-d view."""
+    out = np.array(values, dtype=np.float64)
+    m = out.size.bit_length() - 1
+    for b in range(m):
+        block = out.reshape(-1, 2, 1 << b)
+        block[:, 1, :] += block[:, 0, :]
+    return out
+
+
+@pytest.mark.parametrize("m", [*range(8), 16, 17])
+def test_subset_zeta_is_the_bit_by_bit_loop(m):
+    # sparse rows of mixed magnitudes, like the explicit laws' rows: each
+    # sum over a 4-bit cube rounds differently if its passes change order
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        values = rng.uniform(0.0, 1.0, size=1 << m) * 2.0 ** rng.integers(-20, 1, 1 << m)
+        values[rng.uniform(size=1 << m) < 0.5] = 0.0
+        got = subset_zeta(values)
+        assert got.tobytes() == _zeta_bit_by_bit(values).tobytes()
+        in_place = values.copy()
+        assert subset_zeta(in_place, copy=False) is in_place
+        assert in_place.tobytes() == got.tobytes()
+
+
 def test_subset_zeta_rejects_bad_length():
     with pytest.raises(ValueError):
         subset_zeta(np.zeros(3))

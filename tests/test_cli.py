@@ -88,6 +88,12 @@ class TestExitCodes:
         assert main(["exact", "--model", path, "--exact-cap", "60"]) == 3
         assert "53-type limit" in capsys.readouterr().err
 
+    def test_count_classes_above_the_budget(self, model_file, capsys):
+        counts = [10**12 // 30 + i for i in range(30)]
+        path = model_file({"model": "without_replacement", "g": 2, "counts": counts})
+        assert main(["exact", "--model", path, "--exact-cap", "30"]) == 3
+        assert "classes" in capsys.readouterr().err
+
     def test_divergence_error(self, model_file, capsys):
         path = model_file({"model": "iid_within_group", "g": 2, "p": [0.5, 0.5, 0.0]})
         assert main(["exact", "--model", path]) == 3

@@ -131,6 +131,27 @@ class TestMasterSum:
         result = inclusion_exclusion_expectation(UniformDistinct(53, 2), exact_cap=53)
         assert result.terms_evaluated == (1 << 53) - 1
 
+    def test_count_classes_are_bounded_before_the_build(self):
+        # about 2**29 classes at N = 10**12 would take some 24 GB
+        weights = mandelbrot_weights(30, 0.30, 1.75)
+        model = WithoutReplacement(population_from_weights(weights, 10**12), 2)
+        with pytest.raises(CapacityError, match="classes"):
+            inclusion_exclusion_expectation(model, exact_cap=30)
+        # N + 1 bounds the classes of integer counts, whatever m is
+        weights = mandelbrot_weights(40, 0.30, 1.75)
+        model = WithoutReplacement(population_from_weights(weights, 1000), 3)
+        value = inclusion_exclusion_expectation(model, exact_cap=40).value
+        assert value == 897.9452715050693
+        # and so do the sub-multisets of repeated counts: 30 classes here
+        m = 30
+        model = WithoutReplacement(Population((10**10,) * m), 2)
+        exact = Fraction(0)
+        for k in range(1, m + 1):
+            t = 1.0 / (1.0 - model.avoidance_probability(mask_of(range(k))))
+            exact += (-1) ** (k + 1) * math.comb(m, k) * Fraction(t)
+        value = inclusion_exclusion_expectation(model, exact_cap=m).value
+        assert value == float(exact)
+
     def test_divergence_reports_offending_type(self):
         model = IidWithinGroup((0.5, 0.5, 0.0), 2)
         with pytest.raises(DivergenceError) as err:
@@ -367,6 +388,35 @@ class TestExactSum:
         # only the split into limbs keeps that sum exact
         values = [sign * math.ldexp(m, exponent - 52) for m in mantissas]
         block = np.resize(np.array(values), 1 << 17)
+        assert engine._exact_sum([block]).hex() == _fsum_of([block]).hex()
+
+    @given(st.lists(_arrays, max_size=8))
+    @settings(max_examples=50)
+    def test_blocks_are_not_modified(self, blocks):
+        before = [block.tobytes() for block in blocks]
+        engine._exact_sum(iter(blocks))
+        assert [block.tobytes() for block in blocks] == before
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_full_block_of_random_mantissas(self, seed):
+        # 2**17 floats of one exponent and sign whose 53-bit mantissas
+        # are random: each level sums 2**17 integers to just below 2**52,
+        # and one bit more would round
+        rng = np.random.default_rng(seed)
+        mantissas = rng.integers(1 << 52, 1 << 53, size=1 << 17)
+        exponent = int(rng.integers(-1022, 971)) - 52
+        block = np.ldexp(mantissas.astype(np.float64), exponent)
+        block *= rng.choice([1.0, -1.0])
+        assert engine._exact_sum([block]).hex() == _fsum_of([block]).hex()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_full_block_across_every_exponent(self, seed):
+        # 2**17 floats with random mantissas and signs, from subnormals to
+        # 2**999: the block runs through every level
+        rng = np.random.default_rng(seed)
+        mantissas = rng.integers(-(1 << 53) + 1, 1 << 53, size=1 << 17)
+        exponents = rng.integers(-1126, 947, size=1 << 17)
+        block = np.ldexp(mantissas.astype(np.float64), exponents)
         assert engine._exact_sum([block]).hex() == _fsum_of([block]).hex()
 
 

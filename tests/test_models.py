@@ -316,6 +316,29 @@ class TestLatticeBlocks:
             assert np.array_equal(model.avoidance_table(), whole)
 
 
+    @pytest.mark.parametrize("m", [5, 17])
+    def test_callers_may_overwrite_each_block(self, m):
+        # the engine computes its terms in the yielded blocks: no block
+        # may share memory with the model or with a later block
+        rng = np.random.default_rng(m)
+        p = rng.uniform(0.1, 1.0, size=m)
+        counts = rng.integers(1, 50, size=m)
+        models = [
+            *_explicit_models(rng, m, (1, 2)),
+            IidWithinGroup(tuple(p / p.sum()), 3),
+            WithoutReplacement(Population(tuple(counts.tolist())), 4),
+            UniformDistinct(m, 2),
+        ]
+        for model in models:
+            table = model.avoidance_table()
+            seen = []
+            for block in model.avoidance_blocks():
+                seen.append(block.copy())
+                block[:] = np.nan
+            assert np.array_equal(np.concatenate(seen), table)
+            assert np.array_equal(model.avoidance_table(), table)
+
+
 def _prefix_lattice_group_law(p, g):
     """DraftLottery's group law built over the whole 2**m lattice of prefix
     sets, with ``subset_sums`` for the masses: the reference construction."""
