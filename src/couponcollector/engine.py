@@ -189,7 +189,7 @@ def _lattice_blocks(model: GroupModel):
 
 
 # the exact sum's fixed point, 2**-_UNIT_SHIFT: every level has
-# s >= -1073 - 52 (a subnormal's exponent less bits), so its 2**s is a
+# s >= -1073 - 51 (a subnormal's exponent less bits), so its 2**s is a
 # whole number of units
 _UNIT_SHIFT = 1200
 

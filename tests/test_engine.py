@@ -384,8 +384,7 @@ class TestExactSum:
     @settings(max_examples=40)
     def test_a_full_block_of_one_exponent(self, exponent, mantissas, sign):
         # 2**17 floats (the engine's largest block) of one exponent and
-        # near-full mantissas: one bin's limbs add to about 2**44, and
-        # only the split into limbs keeps that sum exact
+        # near-full mantissas: each level's integers add to about 2**51
         values = [sign * math.ldexp(m, exponent - 52) for m in mantissas]
         block = np.resize(np.array(values), 1 << 17)
         assert engine._exact_sum([block]).hex() == _fsum_of([block]).hex()
@@ -400,8 +399,8 @@ class TestExactSum:
     @pytest.mark.parametrize("seed", range(10))
     def test_a_full_block_of_random_mantissas(self, seed):
         # 2**17 floats of one exponent and sign whose 53-bit mantissas
-        # are random: each level sums 2**17 integers to just below 2**52,
-        # and one bit more would round
+        # are random: a level's 2**17 integers, each below 2**34, sum to
+        # about 2**51, exactly; levels a few bits wider would round
         rng = np.random.default_rng(seed)
         mantissas = rng.integers(1 << 52, 1 << 53, size=1 << 17)
         exponent = int(rng.integers(-1022, 971)) - 52

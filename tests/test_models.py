@@ -315,7 +315,6 @@ class TestLatticeBlocks:
             assert np.array_equal(np.concatenate(blocks), whole)
             assert np.array_equal(model.avoidance_table(), whole)
 
-
     @pytest.mark.parametrize("m", [5, 17])
     def test_callers_may_overwrite_each_block(self, m):
         # the engine computes its terms in the yielded blocks: no block
