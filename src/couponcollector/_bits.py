@@ -117,24 +117,14 @@ def subset_sum_classes(
     return sums, signed, total, largest
 
 
-def popcounts(m: int) -> np.ndarray:
-    """Array of bit counts for every mask below 2**m."""
-    out = np.zeros(1 << m, dtype=np.int64)
-    for b in range(m):
-        size = 1 << b
-        out[size : 2 * size] = out[:size] + 1
-    return out
+def subset_zeta(out: np.ndarray) -> np.ndarray:
+    """Sum-over-subsets transform in place: out[T] becomes the sum of
+    out[S] for S subseteq T.
 
-
-def subset_zeta(values: np.ndarray, copy: bool = True) -> np.ndarray:
-    """Sum-over-subsets transform: out[T] = sum of values[S] for S subseteq T.
-
-    Standard bitwise dynamic program, vectorized one bit at a time. It
-    works on a float64 copy of ``values``; with ``copy=False`` it
-    transforms ``values`` itself, which must then be a float64 array, and
-    returns it.
+    Standard bitwise dynamic program, vectorized one bit at a time.
+    ``out`` must be a contiguous float64 array of length 2**m; it is
+    transformed and returned.
     """
-    out = np.array(values, dtype=np.float64, copy=copy)
     n = out.shape[0]
     m = n.bit_length() - 1
     if 1 << m != n:

@@ -8,6 +8,7 @@ round-trips through float parsing.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -74,13 +75,7 @@ def cmd_exact(args) -> int:
     model = load_model(args.model)
     result = inclusion_exclusion_expectation(model, exact_cap=args.exact_cap)
     if args.json:
-        payload = {
-            "value": result.value,
-            "terms_evaluated": result.terms_evaluated,
-            "cancellation_ratio": result.cancellation_ratio,
-            "truncated_at": result.truncated_at,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(dataclasses.asdict(result), indent=2) + "\n"
     else:
         text = (
             f"value = {_fmt(result.value)}\n"
@@ -97,15 +92,7 @@ def cmd_simulate(args) -> int:
         model, trials=args.trials, seed=args.seed, workers=_workers(args.trials)
     )
     if args.json:
-        payload = {
-            "mean": estimate.mean,
-            "std_error": estimate.std_error,
-            "ci_low": estimate.ci_low,
-            "ci_high": estimate.ci_high,
-            "trials": estimate.trials,
-            "seed": estimate.seed,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(dataclasses.asdict(estimate), indent=2) + "\n"
     else:
         text = (
             f"mean = {_fmt(estimate.mean)}\n"

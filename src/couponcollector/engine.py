@@ -42,14 +42,14 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import _BLOCK_BITS, popcounts, subset_sum_classes, types_of
+from ._bits import _BLOCK_BITS, subset_sum_classes, subset_sums, types_of
 from .errors import CapacityError, DivergenceError, InputError
 from .models import (
     GroupModel,
-    Population,
     WithoutReplacement,
     _check_collectable,
     _CountLaw,
+    _integer,
     _validated_probabilities,
 )
 
@@ -167,7 +167,7 @@ def _lattice_blocks(model: GroupModel):
     block makes no float array of its size: on 2**16 masks each such
     temporary costs more in page faults than its arithmetic.
     """
-    low = popcounts(min(model.m, _BLOCK_BITS))
+    low = subset_sums(np.ones(min(model.m, _BLOCK_BITS)))  # |S| of each low mask
     signs = np.where(low % 2 == 1, 1.0, -1.0)
     # an aligned block's masks share their high bits, which flip signs
     flipped = -signs
@@ -299,7 +299,7 @@ def _count_law_blocks(model: _CountLaw):
 
 def uniform_single_expectation(m: int) -> float:
     """m * H_m: expected single arrivals to complete m equally likely types."""
-    m = int(m)
+    m = _integer(m, "m")
     if m < 1:
         raise InputError("m must be at least 1")
     return m * math.fsum(1.0 / i for i in range(1, m + 1))
@@ -337,8 +337,8 @@ def uniform_group_expectation(m: int, g: int) -> float:
     Alternating sum of C(m, k) / (1 - C(m-k, g)/C(m, g)) for subset sizes
     k = 1 .. m-g, plus the trailing binomial terms for sizes above m-g.
     """
-    m = int(m)
-    g = int(g)
+    m = _integer(m, "m")
+    g = _integer(g, "g")
     if m < 1:
         raise InputError("m must be at least 1")
     if not 1 <= g < m:
@@ -358,8 +358,6 @@ def sampling_expectation(
     population, g: int, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> ExpectationResult:
     """Expected number of size-g samples (without replacement) to see every type."""
-    if not isinstance(population, Population):
-        population = Population(tuple(population))
     return inclusion_exclusion_expectation(
         WithoutReplacement(population, g), exact_cap=exact_cap
     )
@@ -373,13 +371,11 @@ def first_occurrence_expectation(model: GroupModel, type_index: int) -> float:
     type_index = int(type_index)
     if not 0 <= type_index < model.m:
         raise InputError(f"type index {type_index} out of range for m={model.m}")
-    if type_index in model.uncollectable_types():
-        raise DivergenceError(
-            f"type {type_index} never appears in any group",
-            subset_mask=1 << type_index,
-        )
-    q = model.avoidance_probability(1 << type_index)
-    if q >= 1.0:
+    # an uncollectable type raises before its group law is built
+    if (
+        type_index in model.uncollectable_types()
+        or (q := model.avoidance_probability(1 << type_index)) >= 1.0
+    ):
         raise DivergenceError(
             f"type {type_index} never appears in any group",
             subset_mask=1 << type_index,

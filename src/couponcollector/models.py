@@ -53,6 +53,17 @@ PROB_SUM_TOLERANCE = 1e-9
 DRAFT_MAX_GROUP_SIZE = 8
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; unlike int(), it rejects a value it would change."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise InputError(f"{name} must be an integer (got {value!r})")
+    return number
+
+
 def _validated_probabilities(values, name: str) -> tuple[float, ...]:
     """Check a probability vector and renormalize it to sum exactly ~1."""
     vec = tuple(float(v) for v in values)
@@ -75,7 +86,7 @@ class Population:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(_integer(c, "a count") for c in self.counts)
         if len(counts) == 0:
             raise InputError("population needs at least one type")
         if any(c < 1 for c in counts):
@@ -362,7 +373,7 @@ class _ExplicitLaw(GroupModel):
                 )
             else:
                 row = np.zeros(1 << bits)
-            block = subset_zeta(row, copy=False)[::-1]
+            block = subset_zeta(row)[::-1]
             np.clip(block, 0.0, 1.0, out=block)
             if high == 0:
                 block[0] = 1.0  # every group avoids the empty set
@@ -378,31 +389,21 @@ class _ExplicitLaw(GroupModel):
 class UniformDistinct(_CountLaw):
     """All C(m, g) distinct-type groups equally likely.
 
-    The same law as drawing g individuals from an urn of m singletons.
+    The same law as drawing g individuals from an urn of m singletons, and
+    evaluated and sampled as that urn.
     """
 
     m: int
     g: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "g", int(self.g))
+        object.__setattr__(self, "m", _integer(self.m, "m"))
+        object.__setattr__(self, "g", _integer(self.g, "g"))
         _check_distinct_groups(self.m, self.g)
 
     @property
     def _counts(self) -> tuple[int, ...]:
         return (1,) * self.m
-
-    @cached_property
-    def _per_size(self) -> np.ndarray:
-        whole = math.comb(self.m, self.g)
-        return np.array(
-            [math.comb(self.m - k, self.g) / whole for k in range(self.m + 1)]
-        )
-
-    def _count_avoidance(self, excluded: np.ndarray) -> np.ndarray:
-        # only m + 1 counts occur, so each q is an exact ratio rounded once
-        return self._per_size[excluded.astype(np.int64)]
 
     def describe(self) -> str:
         return f"uniform_distinct(m={self.m}, g={self.g})"
@@ -422,8 +423,8 @@ class WeightedDistinct(_ExplicitLaw):
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "g", int(self.g))
+        object.__setattr__(self, "m", _integer(self.m, "m"))
+        object.__setattr__(self, "g", _integer(self.g, "g"))
         _check_distinct_groups(self.m, self.g)
         expected = math.comb(self.m, self.g)
         if len(self.weights) != expected:
@@ -471,7 +472,7 @@ class IidWithinGroup(_CountLaw):
     g: int
 
     def __post_init__(self):
-        object.__setattr__(self, "g", int(self.g))
+        object.__setattr__(self, "g", _integer(self.g, "g"))
         object.__setattr__(
             self, "p", _validated_probabilities(self.p, "type probabilities")
         )
@@ -487,7 +488,7 @@ class IidWithinGroup(_CountLaw):
         return self.p
 
     def _count_avoidance(self, excluded: np.ndarray) -> np.ndarray:
-        # in place: the lattice's 2**m sums stay alive in the caller
+        # clipped and raised in place, so each block of sums makes one array
         q = 1.0 - excluded
         np.clip(q, 0.0, None, out=q)
         return np.power(q, self.g, out=q)
@@ -516,7 +517,7 @@ class WithoutReplacement(_CountLaw):
     def __post_init__(self):
         if not isinstance(self.population, Population):
             object.__setattr__(self, "population", Population(tuple(self.population)))
-        object.__setattr__(self, "g", int(self.g))
+        object.__setattr__(self, "g", _integer(self.g, "g"))
         if not 1 <= self.g <= self.population.total:
             raise InputError(
                 f"sample size g must satisfy 1 <= g <= N={self.population.total} "
@@ -548,7 +549,7 @@ class DraftLottery(_ExplicitLaw):
     g: int
 
     def __post_init__(self):
-        object.__setattr__(self, "g", int(self.g))
+        object.__setattr__(self, "g", _integer(self.g, "g"))
         object.__setattr__(
             self, "p", _validated_probabilities(self.p, "type probabilities")
         )
@@ -645,7 +646,7 @@ def mandelbrot_weights(m: int, c: float, theta: float) -> tuple[float, ...]:
 
     Ranks i run 1 .. m, so the entries are strictly decreasing.
     """
-    m = int(m)
+    m = _integer(m, "m")
     if m < 1:
         raise InputError("m must be at least 1")
     c = float(c)
@@ -667,7 +668,7 @@ def population_from_weights(p, total: int) -> Population:
     sum to ``total`` exactly, never dropping a type below 1.
     """
     p = _validated_probabilities(p, "proportions")
-    total = int(total)
+    total = _integer(total, "population size")
     m = len(p)
     if total < m:
         raise InputError(
@@ -698,6 +699,8 @@ _VARIANTS = (
 
 
 def _weighted_m_from_length(length: int, g: int) -> int:
+    if g < 1:  # C(m, 0) = 1 for every m: the search would never end
+        raise InputError(f"distinct-type groups need g >= 1 (got g={g})")
     m = g + 1
     while math.comb(m, g) < length:
         m += 1
@@ -726,11 +729,17 @@ def model_from_dict(obj) -> GroupModel:
         )
     if "g" not in obj:
         raise InputError("model specification requires integer field 'g'")
+    g = _integer(obj["g"], "field 'g'")
     try:
-        g = int(obj["g"])
-    except (TypeError, ValueError):
-        raise InputError(f"field 'g' must be an integer (got {obj['g']!r})") from None
+        return _model_of_fields(obj, variant, g)
+    except InputError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a field of the wrong type, such as "q": 5 or "p": [0.5, null]
+        raise InputError(f"invalid model field: {exc}") from exc
 
+
+def _model_of_fields(obj: dict, variant: str, g: int) -> GroupModel:
     mandel = obj.get("mandelbrot")
     weights = None
     mandel_total = None
@@ -742,12 +751,12 @@ def model_from_dict(obj) -> GroupModel:
             )
         weights = mandelbrot_weights(mandel["m"], mandel["c"], mandel["theta"])
         if "N" in mandel:
-            mandel_total = int(mandel["N"])
+            mandel_total = _integer(mandel["N"], "mandelbrot.N")
 
     if variant == "uniform_distinct":
         if "m" not in obj:
             raise InputError("uniform_distinct requires integer field 'm'")
-        return UniformDistinct(int(obj["m"]), g)
+        return UniformDistinct(obj["m"], g)
     if variant == "weighted_distinct":
         if "q" not in obj:
             raise InputError("weighted_distinct requires field 'q' (group weights)")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from couponcollector._bits import (
     mask_of,
-    popcounts,
     subset_sum_classes,
     subset_sums,
     subset_zeta,
@@ -63,15 +62,10 @@ def test_subset_sum_classes_reject_inexact_multiplicities():
         subset_sum_classes((1,) * 53)
 
 
-def test_popcounts():
-    pc = popcounts(6)
-    assert all(pc[mask] == mask.bit_count() for mask in range(64))
-
-
 def test_subset_zeta_matches_brute_force():
     rng = np.random.default_rng(3)
     values = rng.uniform(-1, 1, size=32)
-    zeta = subset_zeta(values)
+    zeta = subset_zeta(values.copy())
     for mask in range(32):
         expected = sum(values[s] for s in range(32) if s & mask == s)
         assert zeta[mask] == pytest.approx(expected, rel=1e-12)
@@ -95,11 +89,9 @@ def test_subset_zeta_is_the_bit_by_bit_loop(m):
     for _ in range(5):
         values = rng.uniform(0.0, 1.0, size=1 << m) * 2.0 ** rng.integers(-20, 1, 1 << m)
         values[rng.uniform(size=1 << m) < 0.5] = 0.0
-        got = subset_zeta(values)
-        assert got.tobytes() == _zeta_bit_by_bit(values).tobytes()
         in_place = values.copy()
-        assert subset_zeta(in_place, copy=False) is in_place
-        assert in_place.tobytes() == got.tobytes()
+        assert subset_zeta(in_place) is in_place
+        assert in_place.tobytes() == _zeta_bit_by_bit(values).tobytes()
 
 
 def test_subset_zeta_rejects_bad_length():

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import couponcollector
 from conftest import record_pools
 from couponcollector.cli import main
 
@@ -97,6 +102,45 @@ class TestExitCodes:
     def test_divergence_error(self, model_file, capsys):
         path = model_file({"model": "iid_within_group", "g": 2, "p": [0.5, 0.5, 0.0]})
         assert main(["exact", "--model", path]) == 3
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"model": "weighted_distinct", "g": -1, "q": [0.5, 0.5]},
+            {"model": "uniform_distinct", "g": 2, "m": "x"},
+            {"model": "iid_within_group", "g": 2, "p": "abc"},
+            {"model": "iid_within_group", "g": 2, "p": [0.5, None, 0.5]},
+            {"model": "iid_within_group", "g": 2, "p": [10**400]},
+            {"model": "weighted_distinct", "g": 2, "q": 5},
+            {
+                "model": "without_replacement",
+                "g": 2,
+                "mandelbrot": {"m": 5, "c": 0.3, "theta": 1.75, "N": "x"},
+            },
+            {"model": "without_replacement", "g": 2, "counts": [1.5, 2]},
+            {"model": "without_replacement", "g": 2.7, "counts": [1, 2]},
+        ],
+    )
+    def test_bad_field_exits_2(self, model_file, capsys, obj):
+        assert main(["exact", "--model", model_file(obj)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_weighted_g0_exits_2_without_hanging(self, model_file):
+        # C(m, 0) = 1 for every m, so a search for the m whose C(m, g)
+        # matches the weights would never end: run it in a child that a
+        # timeout stops
+        path = model_file({"model": "weighted_distinct", "g": 0, "q": [0.5, 0.5]})
+        src = Path(couponcollector.__file__).resolve().parents[1]
+        code = "import sys; from couponcollector.cli import main; sys.exit(main())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "exact", "--model", path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
 
     def test_argparse_error(self, capsys):
         assert main(["exact"]) == 2  # --model is required

@@ -28,7 +28,7 @@ from couponcollector import (
     uniform_single_expectation,
 )
 import couponcollector.engine as engine
-from couponcollector._bits import mask_of, popcounts, subset_sums
+from couponcollector._bits import mask_of, subset_sums
 from conftest import random_model
 
 PAPER_COUNTS = (10, 100, 500, 1000)
@@ -64,6 +64,25 @@ class TestUniformGroup:
                 closed = uniform_group_expectation(m, g)
                 master = inclusion_exclusion_expectation(UniformDistinct(m, g)).value
                 assert master == pytest.approx(closed, rel=1e-9)
+
+    def test_master_sum_within_its_rounding_bound_up_to_14(self):
+        # each q(c) is a product of g rounded ratios, so the value may miss
+        # the rational E by the unit roundoff times the condition number
+        # kappa, and by no more than the 1e-12 that the benchmark allows
+        for m in range(2, 15):
+            for g in range(1, m):
+                whole = math.comb(m, g)
+                terms = [
+                    (-1) ** (k + 1)
+                    * math.comb(m, k)
+                    / (1 - Fraction(math.comb(m - k, g), whole))
+                    for k in range(1, m + 1)
+                ]
+                exact = sum(terms)
+                kappa = sum(abs(t) for t in terms) / exact
+                value = inclusion_exclusion_expectation(UniformDistinct(m, g)).value
+                error = abs(Fraction(value) - exact) / exact
+                assert error <= max(Fraction(1, 10**12), kappa / 2**53), (m, g)
 
 
 class TestMasterSum:
@@ -168,7 +187,8 @@ def _lattice(model):
     """The 2**m - 1 subset terms built from ``avoidance_table()`` and the
     largest subset size with q > 0."""
     q = model.avoidance_table()[1:]
-    sizes = popcounts(model.m)[1:]
+    masks = np.arange(1, 1 << model.m)
+    sizes = sum((masks >> b) & 1 for b in range(model.m))  # |S| of each mask
     terms = np.where(sizes % 2 == 1, 1.0, -1.0) / (1.0 - q)
     contributing = sizes[q > 0.0]
     truncated_at = int(contributing.max()) if contributing.size else 0

@@ -17,6 +17,7 @@ from couponcollector import (
     WithoutReplacement,
     avoidance_probability,
     first_occurrence_expectation,
+    inclusion_exclusion_expectation,
     mandelbrot_weights,
     model_from_dict,
     population_from_weights,
@@ -41,6 +42,11 @@ class TestPopulation:
         with pytest.raises(InputError):
             Population((3, 0, 2))
 
+    def test_rejects_fractional_counts(self):
+        with pytest.raises(InputError, match="integer"):
+            Population((1.5, 2))
+        assert Population((3.0, np.int64(2))).counts == (3, 2)
+
 
 class TestValidation:
     def test_distinct_variants_need_g_below_m(self):
@@ -50,6 +56,22 @@ class TestValidation:
             UniformDistinct(4, 0)
         with pytest.raises(InputError):
             DraftLottery((0.5, 0.5), 2)
+
+    def test_sizes_are_not_truncated(self):
+        for build in (
+            lambda: UniformDistinct(5, 2.7),
+            lambda: UniformDistinct(5.5, 2),
+            lambda: UniformDistinct("5", 2),
+            lambda: WeightedDistinct(4, 2.5, (1 / 6,) * 6),
+            lambda: IidWithinGroup((0.5, 0.5), 1.5),
+            lambda: WithoutReplacement(Population((1, 2)), 1.5),
+            lambda: DraftLottery((0.5, 0.25, 0.25), 1.5),
+            lambda: mandelbrot_weights(4.5, 0.3, 1.75),
+            lambda: population_from_weights((0.5, 0.5), 10.5),
+        ):
+            with pytest.raises(InputError, match="integer"):
+                build()
+        assert UniformDistinct(5.0, np.int64(2)) == UniformDistinct(5, 2)
 
     def test_weighted_length_must_match(self):
         with pytest.raises(InputError):
@@ -206,13 +228,14 @@ class TestAvoidance:
 
 class TestCountLaws:
     def test_uniform_distinct_is_an_urn_of_singletons(self):
-        for m, g in [(4, 2), (10, 9), (12, 3), (16, 5)]:
+        for m, g in [(4, 2), (10, 9), (12, 3), (16, 5), (22, 4)]:
             uniform = UniformDistinct(m, g)
             urn = WithoutReplacement(Population((1,) * m), g)
-            # the same rational: exactly rounded against a g-factor product
-            np.testing.assert_allclose(
-                uniform.avoidance_table(), urn.avoidance_table(), rtol=4 * g * 2**-53
-            )
+            # one q(c), so the same floats and the same exact result
+            assert np.array_equal(uniform.avoidance_table(), urn.avoidance_table())
+            assert inclusion_exclusion_expectation(
+                uniform
+            ) == inclusion_exclusion_expectation(urn)
             uniforms = np.random.default_rng(m * 100 + g).random((4000, g))
             assert np.array_equal(
                 uniform.draw_groups(uniforms), urn.draw_groups(uniforms)
