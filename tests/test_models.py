@@ -21,6 +21,8 @@ from couponcollector import (
     mandelbrot_weights,
     model_from_dict,
     population_from_weights,
+    uniform_group_expectation,
+    uniform_single_expectation,
 )
 from couponcollector._bits import mask_of, subset_sums, subset_zeta
 from couponcollector.models import DRAFT_MAX_GROUP_SIZE
@@ -68,6 +70,8 @@ class TestValidation:
             lambda: DraftLottery((0.5, 0.25, 0.25), 1.5),
             lambda: mandelbrot_weights(4.5, 0.3, 1.75),
             lambda: population_from_weights((0.5, 0.5), 10.5),
+            lambda: uniform_group_expectation(5, 2.7),
+            lambda: uniform_single_expectation(2.5),
         ):
             with pytest.raises(InputError, match="integer"):
                 build()
