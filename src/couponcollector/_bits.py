@@ -117,28 +117,39 @@ def subset_sum_classes(
     return sums, signed, total, largest
 
 
-def subset_zeta(out: np.ndarray) -> np.ndarray:
-    """Sum-over-subsets transform in place: out[T] becomes the sum of
-    out[S] for S subseteq T.
+def subset_zeta(values: np.ndarray) -> np.ndarray:
+    """Sum-over-subsets transform read at complements: entry T of the
+    result is the sum of values[S] over the S disjoint from T.
 
-    Standard bitwise dynamic program, vectorized one bit at a time.
-    ``out`` must be a contiguous float64 array of length 2**m; it is
-    transformed and returned.
+    That is the standard transform (out[T] = sum of values[S] for S
+    subseteq T, one vectorized pass per bit, bits in increasing order)
+    reversed, since reversing an array of 2**m entries complements each
+    index; every entry gets the same additions in the same order, so the
+    floats are the same. Read reversed, each pass is a superset sum. The
+    bits go in chunks of up to 4 from the bottom: one transposing copy
+    moves a chunk to the top of the layout, where its passes add runs of
+    at least 2**(m-4) floats (numpy adds short runs several times slower
+    per float); after the last chunk the layout is back in mask order.
+
+    ``values`` must be a contiguous float64 array of length 2**m. The
+    result is a new contiguous array or ``values`` itself, which serves as
+    the second buffer of the copies, so its contents are lost.
     """
-    n = out.shape[0]
+    n = values.shape[0]
     m = n.bit_length() - 1
     if 1 << m != n:
         raise ValueError("length must be a power of two")
-    # numpy is slow over the short inner runs of bits 0-3, so those passes
-    # add whole strided columns of a row-of-16 view instead: the same
-    # additions, in the same order
-    low = min(m, 4)
-    cols = out.reshape(-1, 1 << low)
-    for b in range(low):
-        for j in range(1 << low):
-            if j & (1 << b):
-                cols[:, j] += cols[:, j ^ (1 << b)]
-    for b in range(low, m):
-        block = out.reshape(-1, 2, 1 << b)
-        block[:, 1, :] += block[:, 0, :]
-    return out
+    if m == 0:
+        return values  # the empty set is its own complement
+    src, buffers = values[::-1], (np.empty(n), values)
+    # the first copy reads all of ``values``, so the chunks after it can
+    # alternate between the two buffers
+    for i, low in enumerate(range(0, m, 4)):
+        k = min(4, m - low)
+        out = buffers[i % 2]
+        np.copyto(out.reshape(1 << k, -1), src.reshape(-1, 1 << k).T)
+        for j in range(k):
+            chunk = out.reshape(1 << (k - 1 - j), 2, -1)
+            chunk[:, 0, :] += chunk[:, 1, :]
+        src = out
+    return src

@@ -153,6 +153,12 @@ def _sums_by_class(model: GroupModel) -> bool:
 def _widest(sizes: np.ndarray, q: np.ndarray, offset: int) -> int:
     """Largest offset + size among entries with q > 0, else 0."""
     contributing = q > 0.0
+    # on 2**16 entries the masked max takes about 80 us and the plain one
+    # 12, and on the explicit laws nearly every block has q > 0
+    # throughout. The plain max, not the last size: the count classes'
+    # largest sizes are not sorted
+    if contributing.all():
+        return offset + int(sizes.max())
     if not contributing.any():
         return 0
     return offset + int(sizes.max(where=contributing, initial=0))
@@ -368,7 +374,7 @@ def first_occurrence_expectation(model: GroupModel, type_index: int) -> float:
 
     The waiting time is geometric with success probability 1 - q({i}).
     """
-    type_index = int(type_index)
+    type_index = _integer(type_index, "type index")
     if not 0 <= type_index < model.m:
         raise InputError(f"type index {type_index} out of range for m={model.m}")
     # an uncollectable type raises before its group law is built

@@ -33,6 +33,7 @@ from .models import (
     WeightedDistinct,
     WithoutReplacement,
     _check_collectable,
+    _integer,
 )
 
 DEFAULT_TRIALS = 100_000
@@ -244,7 +245,7 @@ def simulate_collection(
             f"(collected sets are 64-bit masks)"
         )
     _check_collectable(model)
-    trials = int(trials)
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise InputError("trials must be at least 1")
     seed = int(seed)

@@ -63,11 +63,12 @@ def test_subset_sum_classes_reject_inexact_multiplicities():
 
 
 def test_subset_zeta_matches_brute_force():
+    # entry T sums the values of the masks disjoint from T
     rng = np.random.default_rng(3)
     values = rng.uniform(-1, 1, size=32)
     zeta = subset_zeta(values.copy())
     for mask in range(32):
-        expected = sum(values[s] for s in range(32) if s & mask == s)
+        expected = sum(values[s] for s in range(32) if s & mask == 0)
         assert zeta[mask] == pytest.approx(expected, rel=1e-12)
 
 
@@ -81,17 +82,18 @@ def _zeta_bit_by_bit(values):
     return out
 
 
-@pytest.mark.parametrize("m", [*range(8), 16, 17])
+@pytest.mark.parametrize("m", range(18))
 def test_subset_zeta_is_the_bit_by_bit_loop(m):
     # sparse rows of mixed magnitudes, like the explicit laws' rows: each
-    # sum over a 4-bit cube rounds differently if its passes change order
+    # sum over a chunk's cube rounds differently if its passes change
+    # order. m covers chunk remainders of 1-3 bits and m = 16, 17
     rng = np.random.default_rng(m)
     for _ in range(5):
         values = rng.uniform(0.0, 1.0, size=1 << m) * 2.0 ** rng.integers(-20, 1, 1 << m)
         values[rng.uniform(size=1 << m) < 0.5] = 0.0
-        in_place = values.copy()
-        assert subset_zeta(in_place) is in_place
-        assert in_place.tobytes() == _zeta_bit_by_bit(values).tobytes()
+        zeta = subset_zeta(values.copy())
+        assert zeta.flags.c_contiguous
+        assert zeta.tobytes() == _zeta_bit_by_bit(values)[::-1].tobytes()
 
 
 def test_subset_zeta_rejects_bad_length():

@@ -119,6 +119,8 @@ class TestExitCodes:
             },
             {"model": "without_replacement", "g": 2, "counts": [1.5, 2]},
             {"model": "without_replacement", "g": 2.7, "counts": [1, 2]},
+            {"model": "iid_within_group", "g": 2, "p": ["0.5", "0.5"]},
+            {"model": "iid_within_group", "g": 2, "p": [True, False]},
         ],
     )
     def test_bad_field_exits_2(self, model_file, capsys, obj):

@@ -478,6 +478,23 @@ class TestLatticeStreaming:
         assert peak < (8 << m) // 4
 
 
+class TestWidest:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_all_positive_blocks_give_the_masked_max(self, seed):
+        # the lattice's low popcounts peak at the end; the count classes'
+        # largest sizes, ordered by sum, need not
+        rng = np.random.default_rng(seed)
+        lattice = subset_sums(np.ones(10))
+        classes = rng.integers(0, 23, size=lattice.size).astype(np.uint8)
+        for sizes in (lattice, classes):
+            q = rng.uniform(0.1, 1.0, size=sizes.size)
+            for zeros in (0.0, 0.5, 1.0):
+                q[rng.uniform(size=q.size) < zeros] = 0.0
+                positive = q > 0.0
+                expected = 3 + int(sizes[positive].max()) if positive.any() else 0
+                assert engine._widest(sizes, q, 3) == expected
+
+
 class TestSpecializations:
     def test_g1_master_equals_direct_single_arrival(self):
         rng = np.random.default_rng(6)
@@ -519,6 +536,8 @@ class TestFirstOccurrence:
     def test_bad_index(self):
         with pytest.raises(InputError):
             first_occurrence_expectation(UniformDistinct(3, 2), 3)
+        with pytest.raises(InputError, match="type index"):
+            first_occurrence_expectation(UniformDistinct(3, 2), 1.5)  # not type 1
 
     def test_divergent_type(self):
         with pytest.raises(DivergenceError):

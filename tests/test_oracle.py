@@ -162,6 +162,8 @@ class TestSimulation:
         model = UniformDistinct(3, 2)
         with pytest.raises(InputError):
             simulate_collection(model, trials=0)
+        with pytest.raises(InputError, match="trials"):
+            simulate_collection(model, trials=2.7, seed=1)  # not 2 trials
         with pytest.raises(InputError):
             simulate_collection(model, trials=10, seed=-1)
         with pytest.raises(InputError):
