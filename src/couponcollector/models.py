@@ -68,11 +68,14 @@ def _integer(value, name: str) -> int:
 def _validated_probabilities(values, name: str) -> tuple[float, ...]:
     """Check a probability vector and renormalize it to sum exactly ~1."""
     values = tuple(values)
-    # float() would read "0.5" and True. Each distinct type is checked
-    # once: an isinstance per entry took WeightedDistinct(24, 12) from
-    # 0.8 to 1.9 s
+    # float() would read "0.5" and True, raise TypeError on None and
+    # complex, and drop the imaginary part of a numpy complex. Each
+    # distinct type is checked once: an isinstance per entry took
+    # WeightedDistinct(24, 12) from 0.8 to 1.9 s
     for kind in set(map(type, values)):
-        if issubclass(kind, (str, bytes, bool, np.bool_)):
+        if issubclass(
+            kind, (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
+        ):
             raise InputError(f"{name} must be real numbers, not {kind.__name__}")
     vec = tuple(map(float, values))
     if len(vec) == 0:
@@ -216,19 +219,31 @@ def _weighted_removal_masks(
     """Draw g distinct indices sequentially in proportion to a weight vector.
 
     Step j picks the first index whose cumulative remaining weight exceeds
-    u_j times the total remaining weight, then zeroes that index's weight.
-    Returns the bitmask of drawn indices per row of uniforms.
+    u_j times the total remaining weight, or index 0 where none does, then
+    zeroes that index's weight. Returns the bitmask of drawn indices per
+    row of uniforms.
     """
     n, g = uniforms.shape
-    weights = np.tile(base_weights, (n, 1))
+    m = base_weights.size
+    # one column per row of uniforms. The cumulative sums run down the
+    # columns in index order, as np.cumsum along a row adds, one row of
+    # adds per index: at m=12 and 16,384 columns that took 0.17 ms, and
+    # np.cumsum(axis=0) 1.2 ms. They are nondecreasing, so the first index
+    # past the target is the number of sums at or below it
+    weights = np.repeat(base_weights[:, np.newaxis], n, axis=1)
+    cum = np.empty_like(weights)
     masks = np.zeros(n, dtype=np.uint64)
-    rows = np.arange(n)
+    columns = np.arange(n)
     for j in range(g):
-        cum = np.cumsum(weights, axis=1)
-        target = uniforms[:, j] * cum[:, -1]
-        idx = (target[:, None] < cum).argmax(axis=1)
+        cum[0] = weights[0]
+        for i in range(1, m):
+            np.add(cum[i - 1], weights[i], out=cum[i])
+        target = uniforms[:, j] * cum[-1]
+        # masks are uint64, so m <= 64 and the count fits a uint8
+        idx = (cum <= target).view(np.uint8).sum(axis=0, dtype=np.uint8)
+        idx[idx == m] = 0
         masks |= np.uint64(1) << idx.astype(np.uint64)
-        weights[rows, idx] = 0.0
+        weights[idx, columns] = 0.0
     return masks
 
 
@@ -591,29 +606,43 @@ class DraftLottery(_ExplicitLaw):
         """
         m, g = self.m, self.g
         p = np.asarray(self.p, dtype=np.float64)
-        masks = np.zeros(1, dtype=np.uint64)  # level 0: the empty set
-        mass = np.zeros(1)
+        # each level below g is held in colex order, where the subset with
+        # sorted types b_0 < b_1 < .. has rank sum_j C(b_j, j + 1)
+        comb = np.array(
+            [[math.comb(t, r) for t in range(m)] for r in range(g + 1)], dtype=np.int64
+        )
+        mass = np.zeros(1)  # level 0: the empty set
         prefix = np.ones(1)
         for k in range(1, g + 1):
             types = _subset_types(m, k)
-            masks_k = _masks_of_rows(types)
-            # the level below in increasing mask order, to look up A - {t}
-            order = np.argsort(masks)
-            ordered = masks[order]
-            acc = np.zeros(len(masks_k))
-            for t in types.T:
-                bit = np.left_shift(1, t, dtype=np.uint64)
-                before = order[np.searchsorted(ordered, masks_k ^ bit)]
+            # A - {a_i} keeps the types a_j, j < i, at place j and moves
+            # those after it down one place: its rank is the sum of
+            # C(a_j, j + 1) over j < i (below) and C(a_j, j) over j > i (above)
+            below = np.zeros(len(types), dtype=np.int64)
+            above = np.zeros(len(types), dtype=np.int64)
+            for i, t in enumerate(types.T):
+                above += comb[i][t]
+            acc = np.zeros(len(types))
+            for i, t in enumerate(types.T):
+                above -= comb[i][t]
+                before = below + above
                 left = 1.0 - mass[before]
                 ratio = np.where(left > 0.0, p[t] / np.where(left > 0.0, left, 1.0), 0.0)
                 acc += prefix[before] * ratio
-            mass = np.zeros(len(masks_k))
-            for t in types.T:
-                mass += p[t]
-            masks, prefix = masks_k, acc
-        # masks now holds the g-subsets; the recursion accumulates rounding
-        # of order ulp, so renormalize to total mass 1
-        return masks, prefix / math.fsum(prefix.tolist())
+                below += comb[i + 1][t]
+            if k < g:
+                # below is now the rank of A itself; the last before is
+                # A - {a_(k-1)}, and adding p[a_(k-1)] to its mass adds p
+                # over A in increasing type order
+                mass_k = np.empty(len(types))
+                mass_k[below] = mass[before] + p[types[:, -1]]
+                prefix = np.empty(len(types))
+                prefix[below] = acc
+                mass = mass_k
+        # acc now holds the g-subsets' weights in lexicographic order; the
+        # recursion accumulates rounding of order ulp, so renormalize to
+        # total mass 1
+        return _masks_of_rows(types), acc / math.fsum(acc.tolist())
 
     def uncollectable_types(self) -> tuple[int, ...]:
         # at least g types have p > 0, so each of them is drawn first into

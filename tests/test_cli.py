@@ -121,6 +121,7 @@ class TestExitCodes:
             {"model": "without_replacement", "g": 2.7, "counts": [1, 2]},
             {"model": "iid_within_group", "g": 2, "p": ["0.5", "0.5"]},
             {"model": "iid_within_group", "g": 2, "p": [True, False]},
+            {"model": "weighted_distinct", "g": 1, "q": [0.5, None, 0.5]},
         ],
     )
     def test_bad_field_exits_2(self, model_file, capsys, obj):

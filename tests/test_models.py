@@ -25,7 +25,7 @@ from couponcollector import (
     uniform_single_expectation,
 )
 from couponcollector._bits import mask_of, subset_sums
-from couponcollector.models import DRAFT_MAX_GROUP_SIZE
+from couponcollector.models import DRAFT_MAX_GROUP_SIZE, _masks_of_rows, _subset_types
 from conftest import random_model
 
 PAPER_COUNTS = (10, 100, 500, 1000)
@@ -89,6 +89,13 @@ class TestValidation:
         # within tolerance: accepted and renormalized
         model = IidWithinGroup((0.5 + 4e-10, 0.5), 1)
         assert math.fsum(model.p) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "p", [(0.5, None, 0.5), (0.5, 0.5j), (np.complex128(0.5), 0.5)], ids=repr
+    )
+    def test_none_and_complex_entries_raise_input_error(self, p):
+        with pytest.raises(InputError, match="must be real numbers"):
+            IidWithinGroup(p, 2)
 
     def test_without_replacement_sample_size(self):
         with pytest.raises(InputError):
@@ -434,7 +441,48 @@ def test_weighted_distinct_masks_hold_64_types():
     assert model.draw_groups(np.array([[1 - 1e-9]])).tolist() == [1 << 63]
 
 
+def _searchsorted_group_law(p, g):
+    """DraftLottery's group law with each level's A - {t} found by a binary
+    search of the level below in mask order: the colex-rank lookup must
+    give the same masks and weights bit for bit."""
+    m = len(p)
+    p = np.asarray(p, dtype=np.float64)
+    masks = np.zeros(1, dtype=np.uint64)
+    mass = np.zeros(1)
+    prefix = np.ones(1)
+    for k in range(1, g + 1):
+        types = _subset_types(m, k)
+        masks_k = _masks_of_rows(types)
+        order = np.argsort(masks)
+        ordered = masks[order]
+        acc = np.zeros(len(masks_k))
+        for t in types.T:
+            bit = np.left_shift(1, t, dtype=np.uint64)
+            before = order[np.searchsorted(ordered, masks_k ^ bit)]
+            left = 1.0 - mass[before]
+            ratio = np.where(left > 0.0, p[t] / np.where(left > 0.0, left, 1.0), 0.0)
+            acc += prefix[before] * ratio
+        mass = np.zeros(len(masks_k))
+        for t in types.T:
+            mass += p[t]
+        masks, prefix = masks_k, acc
+    return masks, prefix / math.fsum(prefix.tolist())
+
+
 class TestDraftGroupLaw:
+    @pytest.mark.parametrize("m, g", [(6, 3), (12, 3), (22, 3), (16, 6), (10, 8), (9, 1)])
+    def test_equals_the_searchsorted_construction(self, m, g):
+        rng = np.random.default_rng(m * 10 + g)
+        p = rng.uniform(0.0, 1.0, size=m)
+        p[rng.random(m) < 0.2] = 0.0
+        p[: g + 1] += 0.01  # at least g types of positive probability
+        model = DraftLottery(tuple(p / p.sum()), g)
+        masks, weights = model._group_law
+        ref_masks, ref_weights = _searchsorted_group_law(model.p, g)
+        assert masks.dtype == np.uint64
+        assert np.array_equal(masks, ref_masks)
+        assert np.array_equal(weights, ref_weights)
+
     def test_equals_the_prefix_lattice_construction(self):
         rng = np.random.default_rng(31)
         cases = [((0.6, 0.4, 1e-18, 1e-18), 3)]  # a prefix mass rounds to 1

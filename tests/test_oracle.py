@@ -1,3 +1,4 @@
+import math
 import re
 import threading
 
@@ -19,7 +20,30 @@ from couponcollector import (
     inclusion_exclusion_expectation,
     simulate_collection,
 )
+from couponcollector._bits import types_of
 from conftest import random_model, record_pools
+
+
+def _state_loop_chain(model) -> np.ndarray:
+    """The chain's state values solved one state at a time, levels high to
+    low and masks increasing within a level: the reference for the solve
+    by levels."""
+    content_masks, content_weights = oracle._content_distribution(model)
+    full = (1 << model.m) - 1
+    values = np.zeros(1 << model.m)
+    for state in sorted(range(full), key=lambda s: s.bit_count(), reverse=True):
+        landed = np.bitwise_or(content_masks, state)
+        stays = landed == state
+        escape = 1.0 - float(content_weights[stays].sum())
+        if escape <= 0.0:
+            raise DivergenceError(
+                f"no group can add a type outside {types_of(state)}",
+                subset_mask=full ^ state,
+            )
+        moved = ~stays
+        acc = 1.0 + float((content_weights[moved] * values[landed[moved]]).sum())
+        values[state] = acc / escape
+    return values
 
 
 class TestChain:
@@ -69,6 +93,38 @@ class TestChain:
     def test_divergence(self):
         with pytest.raises(DivergenceError):
             chain_expectation(IidWithinGroup((1.0, 0.0), 1))
+
+    def test_levels_equal_the_state_loop(self):
+        rng = np.random.default_rng(12)
+        models = [random_model(rng, max_m=10) for _ in range(30)]
+        counts = tuple(int(c) for c in rng.integers(1, 50, size=12))
+        wide = WithoutReplacement(Population(counts), 3)
+        contents = oracle._content_distribution(wide)[0].size
+        # the widest level, C(12, 6) states, spans several chunks
+        assert math.comb(12, 6) > 5 * (oracle._CHAIN_CHUNK_ELEMENTS // contents)
+        for model in [*models, wide]:
+            got = chain_expectation(model).state_values
+            want = _state_loop_chain(model)
+            assert got.shape == want.shape == (1 << model.m,)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("chunk_elements", [None, 1])
+    def test_divergence_names_the_first_stuck_state(self, monkeypatch, chunk_elements):
+        # type 11 takes all the mass to rounding, so every state that holds
+        # it is stuck, on every level from 1 up. The first stuck state in
+        # the order levels high to low, masks increasing within a level, is
+        # the top level's second, all types but 10
+        if chunk_elements is not None:  # one state per chunk
+            monkeypatch.setattr(oracle, "_CHAIN_CHUNK_ELEMENTS", chunk_elements)
+        model = IidWithinGroup((1e-17,) * 11 + (1.0,), 1)
+        assert model.p[-1] == 1.0
+        for solve in (chain_expectation, _state_loop_chain):
+            with pytest.raises(DivergenceError) as err:
+                solve(model)
+            assert err.value.subset_mask == 1 << 10
+            assert str(err.value) == (
+                "no group can add a type outside (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11)"
+            )
 
 
 class TestSimulation:

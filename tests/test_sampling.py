@@ -13,10 +13,11 @@ from couponcollector import (
     UniformDistinct,
     WeightedDistinct,
     WithoutReplacement,
+    mandelbrot_weights,
     sample_group,
 )
 from couponcollector._philox import uniform_span
-from couponcollector.models import _urn_guide, _urn_types
+from couponcollector.models import _urn_guide, _urn_types, _weighted_removal_masks
 from conftest import random_model
 
 
@@ -87,6 +88,45 @@ def test_urn_guide_matches_searchsorted_at_every_type_boundary(counts):
     positions = np.unique(np.concatenate([[0], ends - 1, ends[:-1]]))
     want = np.searchsorted(ends, positions, side="right")
     assert np.array_equal(_urn_types(positions, guide), want)
+
+
+def _row_wise_removal_masks(uniforms, base_weights):
+    """The draft-lottery draw with one row of weights per row of uniforms:
+    the reference that the column-wise draw must equal bit for bit."""
+    n, g = uniforms.shape
+    weights = np.tile(base_weights, (n, 1))
+    masks = np.zeros(n, dtype=np.uint64)
+    rows = np.arange(n)
+    for j in range(g):
+        cum = np.cumsum(weights, axis=1)
+        target = uniforms[:, j] * cum[:, -1]
+        idx = (target[:, None] < cum).argmax(axis=1)
+        masks |= np.uint64(1) << idx.astype(np.uint64)
+        weights[rows, idx] = 0.0
+    return masks
+
+
+def test_weighted_removal_equals_the_row_wise_draw():
+    rng = np.random.default_rng(12)
+    laws = [DraftLottery(tuple(rng.permutation(mandelbrot_weights(12, 0.3, 1.75))), 3)]
+    for _ in range(20):
+        m = int(rng.integers(2, 25))
+        g = int(rng.integers(1, min(8, m - 1) + 1))
+        p = rng.uniform(0.0, 1.0, size=m)
+        p[rng.random(m) < 0.3] = 0.0
+        p[: g + 1] += 0.01  # at least g types of positive probability
+        laws.append(DraftLottery(tuple(p / p.sum()), g))
+    for model in laws:
+        uniforms = uniform_span(5, np.arange(2000, dtype=np.uint64), 0, model.g)
+        # the largest and smallest uniforms; u = 1 puts the target at the
+        # total, past every sum, where both draws take index 0
+        uniforms[:50] = 1.0 - 2.0**-53
+        uniforms[50:60] = 0.0
+        uniforms[60:70] = 1.0
+        weights = np.asarray(model.p)
+        want = _row_wise_removal_masks(uniforms, weights)
+        assert np.array_equal(_weighted_removal_masks(uniforms, weights), want)
+        assert np.array_equal(model.draw_groups(uniforms), want)
 
 
 def test_group_sizes_are_correct():
