@@ -275,31 +275,41 @@ def _urn_types(position: np.ndarray, guide) -> np.ndarray:
     return types
 
 
-def _ranked_urn_masks(uniforms: np.ndarray, guide) -> np.ndarray:
+def _type_bits(m: int) -> np.ndarray:
+    """The uint64 bit of each of m types, m <= 64."""
+    return np.left_shift(1, np.arange(m, dtype=np.uint64), dtype=np.uint64)
+
+
+def _ranked_urn_masks(uniforms: np.ndarray, guide, bits: np.ndarray) -> np.ndarray:
     """Draw g individuals without replacement from an urn of integer counts.
 
     Individuals carry absolute positions 0 .. N-1, ordered by type. Step j
     picks position rank floor(u_j * (N - j)) among the individuals still
     present; the rank is mapped to an absolute position by stepping over
     the positions already drawn (in increasing order), and the position is
-    mapped to its type through the urn's guide table (``_urn_guide``).
-    Returns the bitmask of drawn types per row of uniforms.
+    mapped to its type's bit: ``bits`` holds the bit of each position's type
+    where every position has its own bucket of the urn's guide table
+    (``_urn_guide``), and else the bit of each type. Returns the bitmask of
+    drawn types per row of uniforms.
     """
     n, g = uniforms.shape
     total = int(guide[0][-1])
+    per_position = guide[2] == 0
     masks = np.zeros(n, dtype=np.uint64)
-    taken = np.empty((n, g), dtype=np.int64)
+    earlier = []  # the positions drawn so far, increasing along the list
     for j in range(g):
-        rank = (uniforms[:, j] * (total - j)).astype(np.int64)
-        np.minimum(rank, total - j - 1, out=rank)
-        position = rank
-        if j:
-            earlier = np.sort(taken[:, :j], axis=1)
-            for k in range(j):
-                position = position + (position >= earlier[:, k])
-        taken[:, j] = position
-        types = _urn_types(position, guide)
-        masks |= np.uint64(1) << types.astype(np.uint64)
+        position = (uniforms[:, j] * (total - j)).astype(np.int64)
+        np.minimum(position, total - j - 1, out=position)
+        for drawn in earlier:
+            position += position >= drawn
+        masks |= bits[position] if per_position else bits[_urn_types(position, guide)]
+        if j < g - 1:
+            # insert by a min and a max per earlier position: on 16,384
+            # rows of two, np.sort(axis=1) took 478 us and these 17 us
+            for k, drawn in enumerate(earlier):
+                earlier[k] = np.minimum(drawn, position)
+                position = np.maximum(drawn, position)
+            earlier.append(position)
     return masks
 
 
@@ -350,11 +360,13 @@ class _CountLaw(GroupModel):
         return self.g
 
     @cached_property
-    def _guide(self) -> tuple[np.ndarray, np.ndarray, int]:
-        return _urn_guide(self._counts)
+    def _urn(self) -> tuple[tuple[np.ndarray, np.ndarray, int], np.ndarray]:
+        guide = _urn_guide(self._counts)
+        bits = _type_bits(self.m)
+        return guide, bits[guide[1]] if guide[2] == 0 else bits
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        return _ranked_urn_masks(uniforms, self._guide)
+        return _ranked_urn_masks(uniforms, *self._urn)
 
 
 class _ExplicitLaw(GroupModel):
@@ -518,14 +530,21 @@ class IidWithinGroup(_CountLaw):
         return np.power(q, self.g, out=q)
 
     @cached_property
-    def _cum_p(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.p, dtype=np.float64))
+    def _draw_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cumulative p, the bit of each type)."""
+        return np.cumsum(np.asarray(self.p, dtype=np.float64)), _type_bits(self.m)
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        cum = self._cum_p
-        idx = np.searchsorted(cum, uniforms.reshape(-1) * cum[-1], side="right")
-        idx = np.minimum(idx, self.m - 1).reshape(uniforms.shape).astype(np.uint64)
-        return np.bitwise_or.reduce(np.uint64(1) << idx, axis=1)
+        cum, bits = self._draw_table
+        target = uniforms.reshape(-1) * cum[-1]
+        # the first type whose cumulative p exceeds the target is the number
+        # of sums at or below it. On 16,384 rows of 3 uniforms, counting
+        # them took 0.6 ms at m=12 and 1.2 ms at m=64, np.searchsorted 2.2
+        # and 3.0 ms. Masks are uint64, so m <= 64 and the count fits a uint8
+        at_or_below = (cum[:, np.newaxis] <= target).view(np.uint8)
+        idx = at_or_below.sum(axis=0, dtype=np.uint8)
+        np.minimum(idx, self.m - 1, out=idx)
+        return np.bitwise_or.reduce(bits[idx].reshape(uniforms.shape), axis=1)
 
     def describe(self) -> str:
         return f"iid_within_group(m={self.m}, g={self.g})"

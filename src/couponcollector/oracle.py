@@ -68,12 +68,26 @@ class ChainSolution:
     state_values: np.ndarray
 
 
-# Trials are simulated in tiles. The active trials of a tile read spans of
-# their streams of clamp(draws done, _FILL_MIN_DRAWS, _FILL_MAX_DRAWS) draws,
-# one fill per trial, so a short trial reads one small span and a long one a
-# few large spans. The spans are mapped to groups in lockstep passes of
-# _PASS_DRAWS draws, so a finished trial stops costing group draws within
-# _PASS_DRAWS of its end. A tile's spans hold at most _BATCH_ELEMENTS uniforms.
+# Trials are simulated in tiles, and each trial reads its stream in fills of
+# whole spans. A span's first tile starts its trials with fills of
+# _FILL_MIN_DRAWS draws; each later tile starts them with the mean draw count
+# of the tiles before it, rounded up to whole passes, and every later fill
+# reads as many draws as the trial has done. Fills are clamped to
+# [_FILL_MIN_DRAWS, _FILL_MAX_DRAWS] draws, so a tile's fills hold at most
+# _BATCH_ELEMENTS uniforms. A fill costs about 1.2-2.5 us per trial (the
+# state setter and the Generator.random call) on top of 7-10 ns per uniform,
+# so most trials should finish within one fill, and a short trial should
+# not read a long one. On without_replacement at m=20, g=2 (Mandelbrot,
+# N=1000; 269 draws per trial on average, median 241), 1e5 trials in one
+# span made 3.42 fills and 773 uniforms per trial in 3.4 s with fills that
+# start at 64 draws and double, and make 1.39 fills and 805 uniforms in
+# 2.1 s (medians of 8 alternating runs, 2-core machine). A first fill of
+# a fixed 256 draws would waste uniforms on every short-trial model, such
+# as the m=12 models of about 12 draws per trial. The fills are mapped to
+# groups in lockstep passes of _PASS_DRAWS draws, so a finished trial stops
+# costing group draws within _PASS_DRAWS of its end. Passes that widen as
+# trials finish, to tile * _PASS_DRAWS // active draws, were no faster on
+# that urn and slower on the m=12 models (paired runs of each).
 _BATCH_ELEMENTS = 1 << 19
 _FILL_MIN_DRAWS = 64
 _FILL_MAX_DRAWS = 512
@@ -101,18 +115,23 @@ _CHAIN_CHUNK_ELEMENTS = 1 << 14
 def _simulate_range(
     model: GroupModel, lo: int, hi: int, seed: int, max_draws: int
 ) -> np.ndarray:
-    """Group counts for trials lo .. hi-1, one tile of trials at a time."""
+    """Group counts for trials lo .. hi-1, one tile of trials at a time,
+    each tile's first fill sized from the tiles before it."""
     tile = max(1, _BATCH_ELEMENTS // (_FILL_MAX_DRAWS * model.uniforms_per_group))
-    return np.concatenate(
-        [
-            _simulate_tile(model, start, min(start + tile, hi), seed, max_draws)
-            for start in range(lo, hi, tile)
-        ]
-    )
+    counts = []
+    first_fill, total = _FILL_MIN_DRAWS, 0
+    for start in range(lo, hi, tile):
+        stop = min(start + tile, hi)
+        counts.append(_simulate_tile(model, start, stop, seed, max_draws, first_fill))
+        total += int(counts[-1].sum())
+        # the mean draw count so far, rounded up to whole passes
+        passes = -(-total // ((stop - lo) * _PASS_DRAWS))
+        first_fill = min(max(passes * _PASS_DRAWS, _FILL_MIN_DRAWS), _FILL_MAX_DRAWS)
+    return np.concatenate(counts)
 
 
 def _simulate_tile(
-    model: GroupModel, lo: int, hi: int, seed: int, max_draws: int
+    model: GroupModel, lo: int, hi: int, seed: int, max_draws: int, first_fill: int
 ) -> np.ndarray:
     """Group counts for trials lo .. hi-1, advanced in lockstep passes.
 
@@ -120,6 +139,8 @@ def _simulate_tile(
     future draws can be made at once; a cumulative OR then locates each
     trial's completion round. Tile, fill and pass boundaries never affect
     results because every draw reads a fixed position of its trial's stream.
+    The first fill reads ``first_fill`` draws per trial, at least
+    ``_FILL_MIN_DRAWS``.
     """
     n = hi - lo
     per_draw = model.uniforms_per_group
@@ -137,9 +158,8 @@ def _simulate_tile(
                 f"the collection is likely impossible to complete"
             )
         if rounds_done == filled_to:
-            fill = min(
-                max(rounds_done, _FILL_MIN_DRAWS), _FILL_MAX_DRAWS, max_draws - rounds_done
-            )
+            fill = rounds_done or first_fill  # later, as many as the draws done
+            fill = min(fill, _FILL_MAX_DRAWS, max_draws - rounds_done)
             filled = uniform_span(
                 seed, trial_ids[active], rounds_done * per_draw, fill * per_draw
             ).reshape(active.size, fill, per_draw)

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -493,6 +494,45 @@ class TestWidest:
                 positive = q > 0.0
                 expected = 3 + int(sizes[positive].max()) if positive.any() else 0
                 assert engine._widest(sizes, q, 3) == expected
+
+
+    @staticmethod
+    def _kinds(blocks) -> set:
+        return {
+            "none" if q.min() > 0.0 else "all" if q.max() == 0.0 else "some"
+            for q in blocks
+        }
+
+    def test_block_widest_equals_widest(self):
+        # q(S) = 1 - c(S) clipped at 0, c a sum of weights over S: like every
+        # law's q it does not increase as S grows. Blocks 0-2 hold no zeros,
+        # block 3 some, and blocks 4-7, whose S hold the weight-1 type, only
+        # zeros
+        low = subset_sums(np.ones(8))
+        low_weights = subset_sums(np.full(8, 0.05))
+        blocks = []
+        for high in range(8):
+            excluded = low_weights + sum(
+                w for i, w in enumerate((0.3, 0.5, 1.0)) if high >> i & 1
+            )
+            q = np.clip(1.0 - excluded, 0.0, None)
+            blocks.append(q)
+            want = engine._widest(low, q, high.bit_count())
+            assert engine._block_widest(low, q, high) == want
+        assert self._kinds(blocks) == {"none", "some", "all"}
+
+    def test_lattice_blocks_keep_the_widest_of_every_block(self):
+        # m = 18 in four blocks of 2**16; the groups of positive weight all
+        # hold type 16 or 17, so block 0 has no zeros, blocks 1 and 2 some
+        # and block 3 only zeros
+        groups = list(combinations(range(18), 2))
+        weights = np.array([float(16 in pair or 17 in pair) for pair in groups])
+        model = WeightedDistinct(18, 2, tuple(weights / weights.sum()))
+        blocks = list(model.avoidance_blocks())
+        assert self._kinds(blocks) == {"none", "some", "all"}
+        low = subset_sums(np.ones(16))
+        got = [widest for _, _, widest in engine._lattice_blocks(model)]
+        assert got == [engine._widest(low, q, h.bit_count()) for h, q in enumerate(blocks)]
 
 
 class TestSpecializations:

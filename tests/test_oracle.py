@@ -298,6 +298,134 @@ class TestTiledLoop:
             simulate_collection(model, trials=self.TRIALS, seed=11, max_draws=longest - 1)
 
 
+class TestAdaptedFills:
+    """Each tile after a span's first starts its trials with fills of the
+    mean draw count of the tiles before it."""
+
+    TRIALS = 37
+
+    @staticmethod
+    def _first_fills(monkeypatch) -> list:
+        fills = []
+        tile = oracle._simulate_tile
+
+        def spy(*args):
+            fills.append(args[-1])
+            return tile(*args)
+
+        monkeypatch.setattr(oracle, "_simulate_tile", spy)
+        return fills
+
+    @pytest.mark.parametrize(
+        "model, seed",
+        [
+            (IidWithinGroup((0.7, 0.3), 1), 1),  # tiles of 4 trials
+            (WithoutReplacement(Population((1, 2, 3)), 2), 16),  # tiles of 2
+        ],
+        ids=lambda v: v.describe() if hasattr(v, "describe") else str(v),
+    )
+    def test_varying_first_fills_match_the_reference(self, monkeypatch, model, seed):
+        want = _reference_draws(model, seed, self.TRIALS)
+        _tiny_tiles(monkeypatch)
+        fills = self._first_fills(monkeypatch)
+        got = oracle._simulate_range(model, 0, self.TRIALS, seed, 10**6)
+        assert np.array_equal(got, want)
+        # the first tile starts at _FILL_MIN_DRAWS, later ones at means
+        # rounded up to whole passes of 2, or at _FILL_MAX_DRAWS
+        assert fills[0] == 2 and set(fills) == {2, 4, 5}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_draw_limit_ending_mid_fill(self, monkeypatch, workers):
+        model = WithoutReplacement(Population((1, 2, 3)), 2)
+        longest = int(_reference_draws(model, 16, self.TRIALS).max())
+        # whatever a tile's first fill (2, 4 or 5 draws), its fills end at
+        # 2, 4, 8, 13; 4, 8, 13; or 5, 10, 15 draws, so a limit of 11 cuts one
+        assert longest == 12
+        _tiny_tiles(monkeypatch)
+        done = simulate_collection(
+            model, trials=self.TRIALS, seed=16, workers=workers, max_draws=longest
+        )
+        assert done == simulate_collection(model, trials=self.TRIALS, seed=16)
+        with pytest.raises(DivergenceError, match="draw limit of 11;"):
+            simulate_collection(
+                model, trials=self.TRIALS, seed=16, workers=workers, max_draws=11
+            )
+
+    def test_first_fill_is_the_mean_rounded_up_to_whole_passes(self, monkeypatch):
+        # UniformDistinct(40, 1) trials take 74 to 514 draws (mean 171), so
+        # a second tile starts at a mean of about 171, rounded up to 192
+        model = UniformDistinct(40, 1)
+        fills = self._first_fills(monkeypatch)
+        draws = oracle._simulate_range(model, 0, 1500, 7, 10**6)
+        tile = oracle._BATCH_ELEMENTS // oracle._FILL_MAX_DRAWS
+        mean = -(-int(draws[:tile].sum()) // tile)
+        assert fills == [64, -(-mean // 32) * 32]
+        assert 64 < fills[1] < 512
+
+
+# Mandelbrot (c = 0.3, theta = 1.75) proportions rounded to 1000 individuals
+MANDELBROT_1000 = {
+    10: (504, 186, 99, 62, 43, 32, 25, 20, 16, 13),
+    12: (494, 182, 97, 61, 42, 31, 24, 19, 16, 13, 11, 10),
+    20: (472, 174, 92, 58, 40, 30, 23, 18, 15, 13, 11, 9, 8, 7, 6, 6, 5, 5, 4, 4),
+}
+
+
+class TestPinnedEstimates:
+    """Estimates recorded from an earlier version of the simulator, as
+    float.hex of (mean, std_error). The trials span several tiles, and
+    their lengths span several fills, so a change to the tiling, the fills,
+    the passes or a draw kernel that moves any draw shows here."""
+
+    @pytest.mark.parametrize(
+        "model, trials, seed, mean, std_error",
+        [
+            (UniformDistinct(40, 1), 2500, 7, "0x1.55fa43fe5c91dp+7", "0x1.ff68e56db93acp-1"),
+            (
+                WeightedDistinct(
+                    5, 2, (0.16, 0.16, 0.17, 0.005, 0.16, 0.16, 0.005, 0.17, 0.005, 0.005)
+                ),
+                2500,
+                8,
+                "0x1.966e978d4fdf4p+5",
+                "0x1.05336745878dfp+0",
+            ),
+            (
+                IidWithinGroup(tuple(c / 1000 for c in MANDELBROT_1000[12]), 2),
+                2500,
+                9,
+                "0x1.7085f06f69446p+6",
+                "0x1.f9deb03addc0bp-1",
+            ),
+            (
+                WithoutReplacement(Population(MANDELBROT_1000[20]), 2),
+                1500,
+                10,
+                "0x1.0abd194237fa9p+8",
+                "0x1.920e42991de1ep+1",
+            ),
+            (  # N > 2**16: the urn draw reads its guide table
+                WithoutReplacement(Population((60000, 5000, 500, 40, 30)), 3),
+                700,
+                12,
+                "0x1.f6c4c118de5abp+9",
+                "0x1.b88d0afcfb054p+4",
+            ),
+            (
+                DraftLottery(tuple(c / 1000 for c in MANDELBROT_1000[10]), 2),
+                2500,
+                11,
+                "0x1.860ebedfa43fep+5",
+                "0x1.12bcb62f9ce49p-1",
+            ),
+        ],
+        ids=["ud", "wd", "iid", "wor20", "wor-large", "dl"],
+    )
+    def test_estimate_is_unchanged(self, model, trials, seed, mean, std_error):
+        estimate = simulate_collection(model, trials=trials, seed=seed)
+        assert (estimate.mean.hex(), estimate.std_error.hex()) == (mean, std_error)
+
+
 FIVE_MODELS = [
     UniformDistinct(5, 3),
     WeightedDistinct(4, 2, (0.05, 0.1, 0.15, 0.2, 0.2, 0.3)),

@@ -17,7 +17,11 @@ from couponcollector import (
     sample_group,
 )
 from couponcollector._philox import uniform_span
-from couponcollector.models import _urn_guide, _urn_types, _weighted_removal_masks
+from couponcollector.models import (
+    _urn_guide,
+    _urn_types,
+    _weighted_removal_masks,
+)
 from conftest import random_model
 
 
@@ -90,6 +94,48 @@ def test_urn_guide_matches_searchsorted_at_every_type_boundary(counts):
     assert np.array_equal(_urn_types(positions, guide), want)
 
 
+def _searched_urn_masks(uniforms, guide):
+    """The urn draw with each row's earlier positions sorted by np.sort and
+    each position's type found by _urn_types, then shifted to its bit: the
+    reference that the mask-table draw must equal bit for bit."""
+    n, g = uniforms.shape
+    total = int(guide[0][-1])
+    masks = np.zeros(n, dtype=np.uint64)
+    taken = np.empty((n, g), dtype=np.int64)
+    for j in range(g):
+        rank = (uniforms[:, j] * (total - j)).astype(np.int64)
+        np.minimum(rank, total - j - 1, out=rank)
+        position = rank
+        if j:
+            earlier = np.sort(taken[:, :j], axis=1)
+            for k in range(j):
+                position = position + (position >= earlier[:, k])
+        taken[:, j] = position
+        types = _urn_types(position, guide)
+        masks |= np.uint64(1) << types.astype(np.uint64)
+    return masks
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(1,) * 7, (10, 100, 500, 1000), (10**6, 1, 1, 3, 1, 10**6, 1, 2, 1)],
+    ids=["singletons", "N<=2**16", "N>2**16"],
+)
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_mask_table_urn_draw_equals_the_searched_draw(counts, g):
+    model = WithoutReplacement(Population(counts), g)
+    guide = _urn_guide(counts)
+    assert (guide[2] == 0) == (sum(counts) <= 1 << 16)
+    uniforms = uniform_span(17, np.arange(5000, dtype=np.uint64), 0, g)
+    # the smallest and largest uniforms, alone and mixed within a row
+    uniforms[:20] = 0.0
+    uniforms[20:40] = 1.0 - 2.0**-53
+    picks = np.random.default_rng(g).random(uniforms.shape)
+    uniforms[picks < 0.1] = 0.0
+    uniforms[picks > 0.9] = 1.0 - 2.0**-53
+    assert np.array_equal(model.draw_groups(uniforms), _searched_urn_masks(uniforms, guide))
+
+
 def _row_wise_removal_masks(uniforms, base_weights):
     """The draft-lottery draw with one row of weights per row of uniforms:
     the reference that the column-wise draw must equal bit for bit."""
@@ -126,6 +172,33 @@ def test_weighted_removal_equals_the_row_wise_draw():
         weights = np.asarray(model.p)
         want = _row_wise_removal_masks(uniforms, weights)
         assert np.array_equal(_weighted_removal_masks(uniforms, weights), want)
+        assert np.array_equal(model.draw_groups(uniforms), want)
+
+
+def _searched_iid_masks(uniforms, p):
+    """The i.i.d. draw by np.searchsorted over the cumulative p: the
+    reference that the counted draw must equal bit for bit."""
+    cum = np.cumsum(np.asarray(p))
+    idx = np.searchsorted(cum, uniforms.reshape(-1) * cum[-1], side="right")
+    idx = np.minimum(idx, len(p) - 1).reshape(uniforms.shape).astype(np.uint64)
+    return np.bitwise_or.reduce(np.uint64(1) << idx, axis=1)
+
+
+def test_iid_draw_equals_the_searched_draw():
+    rng = np.random.default_rng(21)
+    laws = [IidWithinGroup(mandelbrot_weights(12, 0.3, 1.75), 3)]
+    for m in (1, 2, 7, 33, 64):
+        p = rng.uniform(0.0, 1.0, size=m)
+        p[rng.random(m) < 0.3] = 0.0  # repeated cumulative sums
+        p[0] = 0.0  # so u = 0 ties with the first sums
+        p[m // 2] += 0.01
+        laws.append(IidWithinGroup(tuple(p / p.sum()), int(rng.integers(1, 6))))
+    for model in laws:
+        uniforms = uniform_span(8, np.arange(3000, dtype=np.uint64), 0, model.g)
+        uniforms[:50] = 1.0 - 2.0**-53
+        uniforms[50:60] = 0.0
+        uniforms[60:70] = 1.0  # the target is then the total, past every sum
+        want = _searched_iid_masks(uniforms, model.p)
         assert np.array_equal(model.draw_groups(uniforms), want)
 
 
