@@ -27,7 +27,7 @@ from .models import (
     mandelbrot_weights,
     population_from_weights,
 )
-from .oracle import DEFAULT_TRIALS, default_workers, simulate_collection
+from .oracle import DEFAULT_TRIALS, simulate_collection, usable_cpus
 
 WORKERS_ENV = "COUPONCOLLECTOR_WORKERS"
 
@@ -40,10 +40,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _workers(trials: int) -> int:
+def _workers() -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
-        return default_workers(trials)
+        return usable_cpus()
     try:
         return max(1, int(raw))
     except ValueError:
@@ -89,7 +89,7 @@ def cmd_exact(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     estimate = simulate_collection(
-        model, trials=args.trials, seed=args.seed, workers=_workers(args.trials)
+        model, trials=args.trials, seed=args.seed, workers=_workers()
     )
     if args.json:
         text = json.dumps(dataclasses.asdict(estimate), indent=2) + "\n"
@@ -162,7 +162,7 @@ def _m_sweep(args) -> int:
         raise InputError(f"--m-range must start at 1 or above (got {lo}..{hi})")
     total = args.population_size
     group_size = 2
-    workers = _workers(args.trials)
+    workers = _workers()
     rows = []
     for m in range(lo, hi + 1):
         weights = mandelbrot_weights(m, MANDELBROT_C, MANDELBROT_THETA)

@@ -185,11 +185,20 @@ def _subset_types(m: int, k: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.uint8, count=count * k).reshape(count, k)
 
 
+def _type_bits(m: int) -> np.ndarray:
+    """The uint64 bit of each of m types. A uint64 shift by 64 or more gives
+    0, so past 64 types a group's mask would silently lose types."""
+    if m > 64:
+        raise CapacityError(f"m={m} exceeds the 64 types of a uint64 group mask")
+    return np.left_shift(1, np.arange(m, dtype=np.uint64), dtype=np.uint64)
+
+
 def _masks_of_rows(types: np.ndarray) -> np.ndarray:
     """The uint64 bitmask of each row of type indices below 64."""
+    bits = _type_bits(64)
     masks = np.zeros(len(types), dtype=np.uint64)
     for t in types.T:
-        masks |= np.left_shift(1, t, dtype=np.uint64)
+        masks |= bits[t]
     return masks
 
 
@@ -214,14 +223,14 @@ def _check_collectable(model: GroupModel):
 
 
 def _weighted_removal_masks(
-    uniforms: np.ndarray, base_weights: np.ndarray
+    uniforms: np.ndarray, base_weights: np.ndarray, bits: np.ndarray
 ) -> np.ndarray:
     """Draw g distinct indices sequentially in proportion to a weight vector.
 
     Step j picks the first index whose cumulative remaining weight exceeds
     u_j times the total remaining weight, or index 0 where none does, then
     zeroes that index's weight. Returns the bitmask of drawn indices per
-    row of uniforms.
+    row of uniforms, ``bits`` holding the bit of each index.
     """
     n, g = uniforms.shape
     m = base_weights.size
@@ -242,7 +251,7 @@ def _weighted_removal_masks(
         # masks are uint64, so m <= 64 and the count fits a uint8
         idx = (cum <= target).view(np.uint8).sum(axis=0, dtype=np.uint8)
         idx[idx == m] = 0
-        masks |= np.uint64(1) << idx.astype(np.uint64)
+        masks |= bits[idx]
         weights[idx, columns] = 0.0
     return masks
 
@@ -273,11 +282,6 @@ def _urn_types(position: np.ndarray, guide) -> np.ndarray:
     while (step := cum[types] <= position).any():
         types += step
     return types
-
-
-def _type_bits(m: int) -> np.ndarray:
-    """The uint64 bit of each of m types, m <= 64."""
-    return np.left_shift(1, np.arange(m, dtype=np.uint64), dtype=np.uint64)
 
 
 def _ranked_urn_masks(uniforms: np.ndarray, guide, bits: np.ndarray) -> np.ndarray:
@@ -673,11 +677,12 @@ class DraftLottery(_ExplicitLaw):
         return self.g
 
     @cached_property
-    def _p_array(self) -> np.ndarray:
-        return np.asarray(self.p, dtype=np.float64)
+    def _draw_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, the bit of each type)."""
+        return np.asarray(self.p, dtype=np.float64), _type_bits(self.m)
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        return _weighted_removal_masks(uniforms, self._p_array)
+        return _weighted_removal_masks(uniforms, *self._draw_table)
 
     def describe(self) -> str:
         return f"draft_lottery(m={self.m}, g={self.g})"

@@ -93,14 +93,13 @@ _FILL_MIN_DRAWS = 64
 _FILL_MAX_DRAWS = 512
 _PASS_DRAWS = 32
 
-# Spans of at least this many trials run in forked processes. Measured with
+# Each forked process gets at least this many trials. Measured with
 # two workers on a 2-core machine (medians of 11 calls): a process pool costs
 # 24-42 ms to start and stop. weighted_distinct at m=12, g=3, the cheapest
 # trials (about 12 one-uniform draws), breaks even at 3000 trials per span
 # (67 ms on threads or processes) and gains at 4000 (82 against 107 ms);
 # without_replacement on counts (10, 100, 500, 1000), g=2, already gains at
-# 1000 (67 against 82 ms). Spans of 2000 trials therefore stay on threads,
-# whose work in-process tracing can still see.
+# 1000 (67 against 82 ms).
 _PROCESS_MIN_TRIALS = 3000
 
 # The chain solves a level's states in chunks of about this many (state,
@@ -191,13 +190,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def default_workers(trials: int) -> int:
-    """One span per usable CPU, but never so many that a span holds fewer
-    than ``_PROCESS_MIN_TRIALS`` trials, so that a default split never runs
-    slower than one span."""
-    return max(1, min(usable_cpus(), int(trials) // _PROCESS_MIN_TRIALS))
-
-
 def _fork_is_safe() -> bool:
     """Whether forking this process cannot deadlock a child: no other Python
     thread runs (so none can hold a lock across the fork), and the platform
@@ -205,47 +197,41 @@ def _fork_is_safe() -> bool:
     return sys.platform != "darwin" and threading.active_count() == 1
 
 
-def _executor(size: int, span_trials: int):
-    """A pool for trial spans of at least ``span_trials``, at most ``size`` wide.
+def _simulate_spans(
+    model: GroupModel, trials: int, seed: int, workers: int, max_draws: int
+) -> np.ndarray:
+    """Group counts for trials 0 .. trials-1; the one place that decides
+    how they run.
 
-    Forked processes run spans side by side once a span repays their start.
+    Where ``processes = min(workers, usable_cpus(), trials //
+    _PROCESS_MIN_TRIALS)`` is at least 2, forking is safe and ``fork`` is
+    available, they run in that many forked processes, one span each.
     ``fork`` (not ``spawn`` or ``forkserver``) inherits the loaded model and
     never re-imports the caller's ``__main__``, so a script without a
-    ``__main__`` guard still works. The workers run ``_simulate_range`` only.
-    Otherwise one thread runs the spans in order: Python-level work holds the
-    interpreter lock, and two threads took up to 1.6x as long as one on
-    5000-20,000 trials of m=12 models (medians of 7, 2-core machine).
+    ``__main__`` guard still works. Otherwise they run as one span: in the
+    caller's thread at ``workers=1``, and else in one pool thread, off the
+    caller's thread, as the traced two-worker test in ``perfbench/tests``
+    expects.
     """
-    if size > 1 and span_trials >= _PROCESS_MIN_TRIALS and _fork_is_safe():
+    processes = min(workers, usable_cpus(), trials // _PROCESS_MIN_TRIALS)
+    if processes > 1 and _fork_is_safe():
         import multiprocessing  # only here: it costs start-up time on import
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            return ProcessPoolExecutor(
-                max_workers=size, mp_context=multiprocessing.get_context("fork")
-            )
-    return ThreadPoolExecutor(max_workers=1)
-
-
-def _simulate_spans(
-    model: GroupModel, trials: int, seed: int, workers: int, max_draws: int
-) -> np.ndarray:
-    """Group counts for trials 0 .. trials-1, in ``workers`` spans of trials.
-
-    Needs 1 <= workers <= trials, so that no span is empty.
-    """
+            bounds = [round(i * trials / processes) for i in range(processes + 1)]
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(processes, mp_context=context) as pool:
+                futures = [
+                    pool.submit(_simulate_range, model, lo, hi, seed, max_draws)
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                ]
+                return np.concatenate([future.result() for future in futures])
     if workers == 1:
         return _simulate_range(model, 0, trials, seed, max_draws)
-    bounds = [round(i * trials / workers) for i in range(workers + 1)]
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    size = min(workers, usable_cpus())
-    with _executor(size, trials // workers) as pool:  # the shortest span
-        futures = [
-            pool.submit(_simulate_range, model, lo, hi, seed, max_draws)
-            for lo, hi in spans
-        ]
-        return np.concatenate([future.result() for future in futures])
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(_simulate_range, model, 0, trials, seed, max_draws).result()
 
 
 def simulate_collection(
@@ -257,15 +243,15 @@ def simulate_collection(
 ) -> SimEstimate:
     """Estimate the expected number of groups by repeated seeded trials.
 
-    Identical (model, trials, seed) always yields an identical estimate;
-    ``workers`` only partitions the trial range into spans, and cannot
-    change the result because each trial owns a fixed generator stream.
-    The spans run in at most ``usable_cpus()`` forked processes where each
-    span is long enough to repay one and forking is safe (no other Python
-    thread runs, and not on macOS); otherwise in one thread. ``max_draws``
-    caps the groups one trial may draw (default ``DEFAULT_MAX_DRAWS``, read at call
-    time). A model with more than ``SIM_TYPE_CAP`` types, or with a type
-    that no group contains, fails at once, before any draw.
+    Identical (model, trials, seed) always yields an identical estimate,
+    because each trial owns a fixed generator stream. ``workers`` caps the
+    forked processes the trials may run in: at most one per usable CPU, each
+    with at least ``_PROCESS_MIN_TRIALS`` trials, and only where no other
+    Python thread runs and not on macOS; otherwise they run as one span.
+    ``max_draws`` caps the groups one trial may draw (default
+    ``DEFAULT_MAX_DRAWS``, read at call time). A model with more than
+    ``SIM_TYPE_CAP`` types, or with a type that no group contains, fails at
+    once, before any draw.
     """
     if model.m > SIM_TYPE_CAP:
         raise CapacityError(
@@ -279,7 +265,7 @@ def simulate_collection(
     seed = int(seed)
     if not 0 <= seed < 1 << 64:
         raise InputError("seed must fit in an unsigned 64-bit integer")
-    workers = min(max(1, int(workers)), trials)
+    workers = max(1, _integer(workers, "workers"))
     if max_draws is None:
         max_draws = DEFAULT_MAX_DRAWS
     draws = _simulate_spans(model, trials, seed, workers, max_draws)

@@ -1,5 +1,5 @@
 """Shared helpers: a seeded generator of valid, collectable random models,
-and a recorder of the simulator's worker pools."""
+and recorders of the simulator's spans and process pools."""
 
 import concurrent.futures
 import math
@@ -14,6 +14,7 @@ from couponcollector import (
     WeightedDistinct,
     WithoutReplacement,
 )
+import couponcollector.cli as cli
 import couponcollector.oracle as oracle
 
 
@@ -50,30 +51,42 @@ def random_model(rng: np.random.Generator, max_m: int = 10, max_g: int = 4):
 
 
 def record_pools(monkeypatch, cpus: int) -> list:
-    """Make the simulator see ``cpus`` usable CPUs and build stub pools that
-    run each span at submit and start no worker; the returned list collects
-    ("threads" or "processes", max_workers) for each pool made."""
+    """Make the simulator and the CLI see ``cpus`` usable CPUs, and build
+    stub process pools that run each span at submit and fork nothing; the
+    returned list collects the max_workers of each pool made."""
     made = []
 
-    def inline(kind):
-        class Inline:
-            def __init__(self, max_workers, mp_context=None):
-                made.append((kind, max_workers))
+    class Inline:
+        def __init__(self, max_workers, mp_context=None):
+            made.append(max_workers)
 
-            def __enter__(self):
-                return self
+        def __enter__(self):
+            return self
 
-            def __exit__(self, *exc):
-                return False
+        def __exit__(self, *exc):
+            return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        return Inline
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(oracle, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", inline("threads"))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline("processes"))
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
     return made
+
+
+def record_spans(monkeypatch, cpus: int) -> tuple[list, list]:
+    """``record_pools``, with a ``_simulate_range`` that draws nothing;
+    returns the lists that collect the length of each span and the
+    max_workers of each pool made."""
+    spans = []
+
+    def fake_range(model, lo, hi, seed, max_draws):
+        spans.append(hi - lo)
+        return np.full(hi - lo, 7, dtype=np.int64)
+
+    made = record_pools(monkeypatch, cpus)
+    monkeypatch.setattr(oracle, "_simulate_range", fake_range)
+    return spans, made

@@ -5,11 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import couponcollector
-from conftest import record_pools
+from conftest import record_spans
 from couponcollector.cli import main
 
 PAPER_MODEL = {"model": "without_replacement", "g": 2, "counts": [10, 100, 500, 1000]}
@@ -185,22 +184,17 @@ class TestSimulate:
     def test_default_workers_never_build_a_multi_thread_pool(
         self, model_file, monkeypatch, capsys, cpus, trials
     ):
+        # spans fit the forked processes, and a call that forks none runs
+        # one span, so no two spans ever share a process or contend for
+        # its interpreter lock
         import couponcollector.oracle as oracle
 
-        spans = []
-
-        def fake_range(model, lo, hi, seed, max_draws):
-            spans.append(hi - lo)
-            return np.full(hi - lo, 7, dtype=np.int64)
-
-        made = record_pools(monkeypatch, cpus)
-        monkeypatch.setattr(oracle, "_simulate_range", fake_range)
+        spans, made = record_spans(monkeypatch, cpus)
         monkeypatch.delenv("COUPONCOLLECTOR_WORKERS", raising=False)
         argv = ["simulate", "--model", model_file(PAPER_MODEL), "--trials", str(trials)]
         assert main(argv) == 0
-        assert all(size == 1 for kind, size in made if kind == "threads")
         assert len(spans) == 1 or min(spans) >= oracle._PROCESS_MIN_TRIALS
-        assert made in ([], [("processes", len(spans))])
+        assert made == ([] if len(spans) == 1 else [len(spans)])
         assert len(spans) <= cpus
 
     def test_more_than_64_types_exit_3(self, model_file, capsys):

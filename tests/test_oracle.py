@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 import threading
@@ -5,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import couponcollector.cli as cli
 import couponcollector.oracle as oracle
 from couponcollector import (
     CapacityError,
@@ -21,7 +23,7 @@ from couponcollector import (
     simulate_collection,
 )
 from couponcollector._bits import types_of
-from conftest import random_model, record_pools
+from conftest import random_model, record_pools, record_spans
 
 
 def _state_loop_chain(model) -> np.ndarray:
@@ -205,8 +207,7 @@ class TestSimulation:
         def no_draws(*args):
             raise AssertionError("drew a group or started a pool")
 
-        monkeypatch.setattr(oracle, "_simulate_range", no_draws)
-        monkeypatch.setattr(oracle, "_executor", no_draws)
+        monkeypatch.setattr(oracle, "_simulate_spans", no_draws)
         with pytest.raises(CapacityError, match="m=70 exceeds the simulator's cap of 64"):
             simulate_collection(UniformDistinct(70, 2), trials=3, seed=0, workers=2)
 
@@ -224,6 +225,12 @@ class TestSimulation:
             simulate_collection(model, trials=10, seed=-1)
         with pytest.raises(InputError):
             simulate_collection(model, trials=10, seed=1 << 64)
+        for workers in (2.7, "3"):  # not 2 or 3 workers
+            with pytest.raises(InputError, match="workers"):
+                simulate_collection(model, trials=10, seed=1, workers=workers)
+        # fewer than one worker means one
+        one = simulate_collection(model, trials=10, seed=1)
+        assert simulate_collection(model, trials=10, seed=1, workers=-3) == one
 
 
 def _reference_draws(model, seed, trials):
@@ -436,19 +443,18 @@ FIVE_MODELS = [
 
 
 def _forked_spans(monkeypatch) -> list:
-    """Run spans of two or more trials in two forked processes; the returned
-    list collects the class name of each pool made."""
+    """Fork processes for spans of two or more trials on two usable CPUs; the
+    returned list collects the max_workers of each process pool made."""
     made = []
-    make = oracle._executor
+    make = concurrent.futures.ProcessPoolExecutor
 
-    def spy(size, span_trials):
-        pool = make(size, span_trials)
-        made.append(type(pool).__name__)
-        return pool
+    def spy(max_workers, **kwargs):
+        made.append(max_workers)
+        return make(max_workers, **kwargs)
 
     monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 2)
     monkeypatch.setattr(oracle, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(oracle, "_executor", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     return made
 
 
@@ -460,7 +466,7 @@ class TestWorkerPools:
         want = _reference_draws(model, 11, self.TRIALS)
         made = _forked_spans(monkeypatch)
         got = oracle._simulate_spans(model, self.TRIALS, 11, 3, 10**6)
-        assert made == ["ProcessPoolExecutor"]
+        assert made == [2]
         assert np.array_equal(got, want)
 
     def test_draw_limit_in_a_child_keeps_its_type_and_message(self, monkeypatch):
@@ -476,17 +482,18 @@ class TestWorkerPools:
                 model, trials=self.TRIALS, seed=11, workers=3, max_draws=longest - 1
             )
         assert type(err.value) is DivergenceError
-        assert made == ["ProcessPoolExecutor"]
+        assert made == [2]
 
     @pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
     def test_pool_size_is_capped_at_the_usable_cpus(self, monkeypatch, forked):
+        model = UniformDistinct(5, 3)
+        want = _reference_draws(model, 4, self.TRIALS)
         made = record_pools(monkeypatch, 3)
         if forked:
             monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 1)
-        model = UniformDistinct(5, 3)
-        got = simulate_collection(model, trials=self.TRIALS, seed=4, workers=10_000)
-        assert made == [("processes", 3) if forked else ("threads", 1)]
-        assert got == simulate_collection(model, trials=self.TRIALS, seed=4)
+        got = oracle._simulate_spans(model, self.TRIALS, 4, 10_000, 10**6)
+        assert made == ([3] if forked else [])
+        assert np.array_equal(got, want)
 
     def test_a_running_thread_keeps_spans_out_of_forked_processes(self, monkeypatch):
         model = UniformDistinct(5, 3)
@@ -500,7 +507,7 @@ class TestWorkerPools:
         finally:
             stop.set()
             other.join()
-        assert made == ["ThreadPoolExecutor"]
+        assert made == []
         assert np.array_equal(got, want)
 
     def test_macos_never_forks(self, monkeypatch):
@@ -509,7 +516,7 @@ class TestWorkerPools:
         made = _forked_spans(monkeypatch)
         monkeypatch.setattr(oracle.sys, "platform", "darwin")
         got = oracle._simulate_spans(model, self.TRIALS, 11, 3, 10**6)
-        assert made == ["ThreadPoolExecutor"]
+        assert made == []
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -519,5 +526,22 @@ class TestWorkerPools:
     def test_default_workers_give_no_span_below_the_break_even(
         self, monkeypatch, cpus, trials, want
     ):
-        monkeypatch.setattr(oracle, "usable_cpus", lambda: cpus)
-        assert oracle.default_workers(trials) == want
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        spans, made = record_spans(monkeypatch, cpus)
+        oracle._simulate_spans(UniformDistinct(5, 3), trials, 0, cli._workers(), 10**6)
+        assert len(spans) == want and sum(spans) == trials
+        assert want == 1 or min(spans) >= oracle._PROCESS_MIN_TRIALS
+        assert made == ([want] if want > 1 else [])
+
+    @pytest.mark.parametrize(
+        "cpus, trials, workers, want",
+        [(2, 10**5, "8", 2), (2, 2000, "5", 1)],
+    )
+    def test_spans_never_outnumber_the_processes(
+        self, monkeypatch, cpus, trials, workers, want
+    ):
+        monkeypatch.setenv(cli.WORKERS_ENV, workers)
+        spans, made = record_spans(monkeypatch, cpus)
+        oracle._simulate_spans(UniformDistinct(5, 3), trials, 0, cli._workers(), 10**6)
+        assert len(spans) == want and sum(spans) == trials
+        assert made == ([want] if want > 1 else [])

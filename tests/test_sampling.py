@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from couponcollector import (
+    CapacityError,
     DraftLottery,
     IidWithinGroup,
     Population,
@@ -18,6 +19,7 @@ from couponcollector import (
 )
 from couponcollector._philox import uniform_span
 from couponcollector.models import (
+    _type_bits,
     _urn_guide,
     _urn_types,
     _weighted_removal_masks,
@@ -171,7 +173,8 @@ def test_weighted_removal_equals_the_row_wise_draw():
         uniforms[60:70] = 1.0
         weights = np.asarray(model.p)
         want = _row_wise_removal_masks(uniforms, weights)
-        assert np.array_equal(_weighted_removal_masks(uniforms, weights), want)
+        bits = _type_bits(model.m)
+        assert np.array_equal(_weighted_removal_masks(uniforms, weights, bits), want)
         assert np.array_equal(model.draw_groups(uniforms), want)
 
 
@@ -231,3 +234,33 @@ def test_sample_group_is_deterministic():
     a = [sample_group(model, np.random.Generator(np.random.Philox(key=3))) for _ in [0]]
     b = [sample_group(model, np.random.Generator(np.random.Philox(key=3))) for _ in [0]]
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        UniformDistinct(70, 2),
+        WithoutReplacement(Population((3,) * 70), 3),
+        DraftLottery((1 / 70,) * 70, 2),
+        IidWithinGroup((1 / 70,) * 70, 2),
+    ],
+    ids=lambda m: m.describe().split("(")[0],
+)
+def test_draws_past_64_types_raise(model):
+    # a uint64 shift by 64 or more gives 0, so such a mask would lose types
+    with pytest.raises(CapacityError, match="m=70 exceeds the 64 types"):
+        sample_group(model, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        UniformDistinct(64, 1),
+        IidWithinGroup((1 / 64,) * 64, 1),
+        DraftLottery((1 / 64,) * 64, 1),
+    ],
+    ids=lambda m: m.describe().split("(")[0],
+)
+def test_64_type_draws_reach_type_63(model):
+    # the largest uniform picks the last type
+    assert model.draw_groups(np.array([[1.0 - 2.0**-53]])).tolist() == [1 << 63]
