@@ -65,8 +65,8 @@ def _integer(value, name: str) -> int:
     return number
 
 
-def _validated_probabilities(values, name: str) -> tuple[float, ...]:
-    """Check a probability vector and renormalize it to sum exactly ~1."""
+def _reals(values, name: str) -> tuple[float, ...]:
+    """``values`` as floats, rejecting text, booleans, None and complex."""
     values = tuple(values)
     # float() would read "0.5" and True, raise TypeError on None and
     # complex, and drop the imaginary part of a numpy complex. Each
@@ -77,7 +77,12 @@ def _validated_probabilities(values, name: str) -> tuple[float, ...]:
             kind, (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
         ):
             raise InputError(f"{name} must be real numbers, not {kind.__name__}")
-    vec = tuple(map(float, values))
+    return tuple(map(float, values))
+
+
+def _validated_probabilities(values, name: str) -> tuple[float, ...]:
+    """Check a probability vector and renormalize it to sum exactly ~1."""
+    vec = _reals(values, name)
     if len(vec) == 0:
         raise InputError(f"{name} must not be empty")
     if any(v < 0.0 or not math.isfinite(v) for v in vec):
@@ -124,7 +129,7 @@ class GroupModel(ABC):
     g: int
 
     def _check_mask(self, subset_mask: int) -> int:
-        subset_mask = int(subset_mask)
+        subset_mask = _integer(subset_mask, "subset mask")
         if not 0 <= subset_mask < (1 << self.m):
             raise InputError(
                 f"subset mask {subset_mask:#x} out of range for m={self.m}"
@@ -193,10 +198,11 @@ def _type_bits(m: int) -> np.ndarray:
     return np.left_shift(1, np.arange(m, dtype=np.uint64), dtype=np.uint64)
 
 
-def _masks_of_rows(types: np.ndarray) -> np.ndarray:
-    """The uint64 bitmask of each row of type indices below 64."""
-    bits = _type_bits(64)
+def _masks_of_rows(types: np.ndarray, m: int = 64) -> np.ndarray:
+    """The uint64 bitmask of each row of indices of m types."""
+    bits = _type_bits(m)
     masks = np.zeros(len(types), dtype=np.uint64)
+    # 10,912 rows of 3 took 67 us, against 255 us by np.bitwise_or.reduce(axis=1)
     for t in types.T:
         masks |= bits[t]
     return masks
@@ -256,32 +262,38 @@ def _weighted_removal_masks(
     return masks
 
 
-# Urn positions map to types through a guide table (Chen & Asau 1974): bucket
-# b holds the type of position b << shift. There are at most 2**_GUIDE_BITS
-# buckets whatever N, and below that every position has its own bucket.
+# Every static inverse-CDF draw (urn positions, i.i.d. slots, weighted groups)
+# finds its index through a guide table (Chen & Asau 1974) of at most
+# 2**_GUIDE_BITS buckets; an urn of at most that many individuals has one each.
 _GUIDE_BITS = 16
 
 
-def _urn_guide(counts) -> tuple[np.ndarray, np.ndarray, int]:
-    """(cumulative counts, type of each bucket's first position, bucket shift)."""
-    cum = np.cumsum(np.asarray(counts, dtype=np.int64))
-    total = int(cum[-1])
-    shift = max(0, (total - 1).bit_length() - _GUIDE_BITS)
-    first = np.searchsorted(cum, np.arange(0, total, 1 << shift), side="right")
-    return cum, first, shift
+def _guide(cum: np.ndarray) -> tuple:
+    """(total, stops, first, shift, steps) guiding a nondecreasing ``cum`` of
+    integer counts or float weights, for targets from 0 to a position below
+    the integer total or to the float total. ``stops`` is ``cum`` with its last
+    entry raised past every target; bucket b starts exactly at b * 2**shift,
+    ``first[b]`` counts the stops at or below it, and ``steps`` bounds the rest."""
+    exact = cum.dtype.kind == "i"
+    top = cum[-1] - 1 if exact else cum[-1]
+    shift = math.frexp(top)[1] - _GUIDE_BITS  # top < 2**(shift + _GUIDE_BITS)
+    shift = max(0, shift) if exact else shift
+    stops = np.append(cum[:-1], np.iinfo(cum.dtype).max if exact else np.inf)
+    starts = np.arange(int(top * 2.0**-shift) + 1, dtype=cum.dtype) * 2**shift
+    first = np.searchsorted(stops, starts, side="right")
+    reach = np.append(np.searchsorted(stops, starts[1:], side="left"), len(cum) - 1)
+    return cum[-1], stops, first, shift, int((reach - first).max())
 
 
-def _urn_types(position: np.ndarray, guide) -> np.ndarray:
-    """Type of each urn position, the same as searchsorted(cum, position, "right").
-
-    A position starts at its bucket's first type and steps over each type
-    that ends inside the bucket at or before it.
-    """
-    cum, first, shift = guide
-    types = first[position >> shift]
-    while (step := cum[types] <= position).any():
-        types += step
-    return types
+def _guided_search(x: np.ndarray, guide) -> np.ndarray:
+    """min(searchsorted(cum, x, "right"), len(cum) - 1) for targets x of
+    ``_guide(cum)``: each steps from its bucket's first stop past those <= x."""
+    _, stops, first, shift, steps = guide
+    bucket = x >> shift if x.dtype.kind == "i" else (x * 2.0**-shift).astype(np.intp)
+    idx = first[bucket]
+    for _ in range(steps):
+        idx += stops[idx] <= x
+    return idx
 
 
 def _ranked_urn_masks(uniforms: np.ndarray, guide, bits: np.ndarray) -> np.ndarray:
@@ -293,12 +305,12 @@ def _ranked_urn_masks(uniforms: np.ndarray, guide, bits: np.ndarray) -> np.ndarr
     the positions already drawn (in increasing order), and the position is
     mapped to its type's bit: ``bits`` holds the bit of each position's type
     where every position has its own bucket of the urn's guide table
-    (``_urn_guide``), and else the bit of each type. Returns the bitmask of
+    (``_guide``), and else the bit of each type. Returns the bitmask of
     drawn types per row of uniforms.
     """
     n, g = uniforms.shape
-    total = int(guide[0][-1])
-    per_position = guide[2] == 0
+    total = int(guide[0])
+    per_position = guide[3] == 0
     masks = np.zeros(n, dtype=np.uint64)
     earlier = []  # the positions drawn so far, increasing along the list
     for j in range(g):
@@ -306,7 +318,7 @@ def _ranked_urn_masks(uniforms: np.ndarray, guide, bits: np.ndarray) -> np.ndarr
         np.minimum(position, total - j - 1, out=position)
         for drawn in earlier:
             position += position >= drawn
-        masks |= bits[position] if per_position else bits[_urn_types(position, guide)]
+        masks |= bits[position if per_position else _guided_search(position, guide)]
         if j < g - 1:
             # insert by a min and a max per earlier position: on 16,384
             # rows of two, np.sort(axis=1) took 478 us and these 17 us
@@ -364,10 +376,10 @@ class _CountLaw(GroupModel):
         return self.g
 
     @cached_property
-    def _urn(self) -> tuple[tuple[np.ndarray, np.ndarray, int], np.ndarray]:
-        guide = _urn_guide(self._counts)
+    def _urn(self) -> tuple:
+        guide = _guide(np.cumsum(np.asarray(self._counts, dtype=np.int64)))
         bits = _type_bits(self.m)
-        return guide, bits[guide[1]] if guide[2] == 0 else bits
+        return guide, bits[guide[2]] if guide[3] == 0 else bits
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
         return _ranked_urn_masks(uniforms, *self._urn)
@@ -482,19 +494,16 @@ class WeightedDistinct(_ExplicitLaw):
         return masks, np.asarray(self.weights, dtype=np.float64)
 
     @cached_property
-    def _cum_weights(self) -> np.ndarray:
-        return np.cumsum(self._group_law[1])
+    def _draw_guide(self) -> tuple:
+        return _guide(np.cumsum(self._group_law[1]))
 
     @property
     def uniforms_per_group(self) -> int:
         return 1
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        cum = self._cum_weights
-        target = uniforms[:, 0] * cum[-1]
-        idx = np.searchsorted(cum, target, side="right")
-        idx = np.minimum(idx, len(cum) - 1)
-        return self._group_law[0][idx]
+        guide = self._draw_guide
+        return self._group_law[0][_guided_search(uniforms[:, 0] * guide[0], guide)]
 
     def describe(self) -> str:
         return f"weighted_distinct(m={self.m}, g={self.g})"
@@ -534,21 +543,12 @@ class IidWithinGroup(_CountLaw):
         return np.power(q, self.g, out=q)
 
     @cached_property
-    def _draw_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cumulative p, the bit of each type)."""
-        return np.cumsum(np.asarray(self.p, dtype=np.float64)), _type_bits(self.m)
+    def _draw_guide(self) -> tuple:
+        return _guide(np.cumsum(self.p))
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        cum, bits = self._draw_table
-        target = uniforms.reshape(-1) * cum[-1]
-        # the first type whose cumulative p exceeds the target is the number
-        # of sums at or below it. On 16,384 rows of 3 uniforms, counting
-        # them took 0.6 ms at m=12 and 1.2 ms at m=64, np.searchsorted 2.2
-        # and 3.0 ms. Masks are uint64, so m <= 64 and the count fits a uint8
-        at_or_below = (cum[:, np.newaxis] <= target).view(np.uint8)
-        idx = at_or_below.sum(axis=0, dtype=np.uint8)
-        np.minimum(idx, self.m - 1, out=idx)
-        return np.bitwise_or.reduce(bits[idx].reshape(uniforms.shape), axis=1)
+        guide = self._draw_guide
+        return _masks_of_rows(_guided_search(uniforms * guide[0], guide), self.m)
 
     def describe(self) -> str:
         return f"iid_within_group(m={self.m}, g={self.g})"
@@ -711,8 +711,7 @@ def mandelbrot_weights(m: int, c: float, theta: float) -> tuple[float, ...]:
     m = _integer(m, "m")
     if m < 1:
         raise InputError("m must be at least 1")
-    c = float(c)
-    theta = float(theta)
+    c, theta = _reals((c, theta), "offset c and exponent theta")
     if c < 0.0 or not math.isfinite(c):
         raise InputError("offset c must be a finite nonnegative real")
     if not 1.0 <= theta <= 2.0:

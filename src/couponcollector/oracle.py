@@ -262,7 +262,7 @@ def simulate_collection(
     trials = _integer(trials, "trials")
     if trials < 1:
         raise InputError("trials must be at least 1")
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise InputError("seed must fit in an unsigned 64-bit integer")
     workers = max(1, _integer(workers, "workers"))

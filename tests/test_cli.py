@@ -121,6 +121,26 @@ class TestExitCodes:
             {"model": "iid_within_group", "g": 2, "p": ["0.5", "0.5"]},
             {"model": "iid_within_group", "g": 2, "p": [True, False]},
             {"model": "weighted_distinct", "g": 1, "q": [0.5, None, 0.5]},
+            {
+                "model": "iid_within_group",
+                "g": 2,
+                "mandelbrot": {"m": 5, "c": "0.3", "theta": 1.75},
+            },
+            {
+                "model": "iid_within_group",
+                "g": 2,
+                "mandelbrot": {"m": 5, "c": 0.3, "theta": "1.75"},
+            },
+            {
+                "model": "draft_lottery",
+                "g": 2,
+                "mandelbrot": {"m": 5, "c": True, "theta": 1.75},
+            },
+            {
+                "model": "draft_lottery",
+                "g": 2,
+                "mandelbrot": {"m": 5, "c": 0.3, "theta": True},
+            },
         ],
     )
     def test_bad_field_exits_2(self, model_file, capsys, obj):

@@ -117,6 +117,16 @@ class TestValidation:
         with pytest.raises(InputError):
             model.avoidance_probability(-1)
 
+    def test_subset_mask_is_not_truncated(self):
+        # 2.7 is not mask 2 and "3" is not mask 3, for a count and an
+        # explicit law alike
+        laws = (UniformDistinct(4, 2), WeightedDistinct(3, 1, (0.5, 0.25, 0.25)))
+        for model in laws:
+            for mask in (2.7, "3"):
+                with pytest.raises(InputError, match="integer"):
+                    model.avoidance_probability(mask)
+            assert model.avoidance_probability(np.int64(2)) == model.avoidance_probability(2)
+
 
 class TestAvoidance:
     def test_without_replacement_paper_subset(self):

@@ -225,6 +225,9 @@ class TestSimulation:
             simulate_collection(model, trials=10, seed=-1)
         with pytest.raises(InputError):
             simulate_collection(model, trials=10, seed=1 << 64)
+        for seed in (2.7, "3"):  # not seed 2 or 3
+            with pytest.raises(InputError, match="seed"):
+                simulate_collection(model, trials=10, seed=seed)
         for workers in (2.7, "3"):  # not 2 or 3 workers
             with pytest.raises(InputError, match="workers"):
                 simulate_collection(model, trials=10, seed=1, workers=workers)

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from couponcollector import (
 )
 from couponcollector._philox import uniform_span
 from couponcollector.models import (
+    _guide,
+    _guided_search,
     _type_bits,
-    _urn_guide,
-    _urn_types,
     _weighted_removal_masks,
 )
 from conftest import random_model
@@ -82,26 +83,44 @@ def test_empirical_avoidance_matches_exact(model):
 
 
 @pytest.mark.parametrize(
-    "counts",
-    [(10, 100, 500, 1000), (10**6, 1, 1, 3, 1, 10**6, 1, 2, 1)],
-    ids=["N<=2**16", "N>2**16"],
+    "cum",
+    [
+        np.cumsum((10, 100, 500, 1000)),
+        np.cumsum((10**6, 1, 1, 3, 1, 10**6, 1, 2, 1)),
+        np.cumsum(mandelbrot_weights(12, 0.3, 1.75)),
+        np.cumsum((0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25)),  # sums on bucket starts
+        np.cumsum((0.0, 0.3, 0.0, 0.0, 0.2, 0.5, 0.0, 0.0)),
+        np.cumsum(np.random.default_rng(3).dirichlet(np.ones(200_000))),
+    ],
+    ids=["N<=2**16", "N>2**16", "p", "zero p", "zero p at the ends", "p past 2**16"],
 )
-def test_urn_guide_matches_searchsorted_at_every_type_boundary(counts):
-    cum, first, shift = guide = _urn_guide(counts)
+def test_urn_guide_matches_searchsorted_at_every_type_boundary(cum):
+    total, stops, first, shift, steps = guide = _guide(cum)
     assert len(first) <= 1 << 16
-    assert (shift == 0) == (cum[-1] <= 1 << 16)
-    ends = np.cumsum(counts)
-    positions = np.unique(np.concatenate([[0], ends - 1, ends[:-1]]))
-    want = np.searchsorted(ends, positions, side="right")
-    assert np.array_equal(_urn_types(positions, guide), want)
+    if cum.dtype.kind == "i":
+        assert (shift == 0) == (cum[-1] <= 1 << 16)
+        # the positions 0 .. N-1
+        targets = np.unique(np.concatenate([[0], cum - 1, cum[:-1]]))
+    else:
+        # every sum, its neighbouring floats, the bucket starts and the
+        # floats below them, from 0 up to the total
+        starts = np.ldexp(np.arange(len(first), dtype=float), shift)
+        near = np.concatenate([cum, starts])
+        targets = np.concatenate(
+            [near, np.nextafter(near, 0.0), np.nextafter(near, np.inf), [0.0]]
+        )
+        targets = targets[targets <= total]
+    want = np.minimum(np.searchsorted(cum, targets, side="right"), len(cum) - 1)
+    assert np.array_equal(_guided_search(targets, guide), want)
 
 
-def _searched_urn_masks(uniforms, guide):
+def _searched_urn_masks(uniforms, counts):
     """The urn draw with each row's earlier positions sorted by np.sort and
-    each position's type found by _urn_types, then shifted to its bit: the
-    reference that the mask-table draw must equal bit for bit."""
+    each position's type found by np.searchsorted, then shifted to its bit:
+    the reference that the guided draw must equal bit for bit."""
     n, g = uniforms.shape
-    total = int(guide[0][-1])
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
     masks = np.zeros(n, dtype=np.uint64)
     taken = np.empty((n, g), dtype=np.int64)
     for j in range(g):
@@ -113,7 +132,7 @@ def _searched_urn_masks(uniforms, guide):
             for k in range(j):
                 position = position + (position >= earlier[:, k])
         taken[:, j] = position
-        types = _urn_types(position, guide)
+        types = np.searchsorted(ends, position, side="right")
         masks |= np.uint64(1) << types.astype(np.uint64)
     return masks
 
@@ -126,8 +145,8 @@ def _searched_urn_masks(uniforms, guide):
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_mask_table_urn_draw_equals_the_searched_draw(counts, g):
     model = WithoutReplacement(Population(counts), g)
-    guide = _urn_guide(counts)
-    assert (guide[2] == 0) == (sum(counts) <= 1 << 16)
+    guide = _guide(np.cumsum(counts))
+    assert (guide[3] == 0) == (sum(counts) <= 1 << 16)
     uniforms = uniform_span(17, np.arange(5000, dtype=np.uint64), 0, g)
     # the smallest and largest uniforms, alone and mixed within a row
     uniforms[:20] = 0.0
@@ -135,7 +154,8 @@ def test_mask_table_urn_draw_equals_the_searched_draw(counts, g):
     picks = np.random.default_rng(g).random(uniforms.shape)
     uniforms[picks < 0.1] = 0.0
     uniforms[picks > 0.9] = 1.0 - 2.0**-53
-    assert np.array_equal(model.draw_groups(uniforms), _searched_urn_masks(uniforms, guide))
+    want = _searched_urn_masks(uniforms, counts)
+    assert np.array_equal(model.draw_groups(uniforms), want)
 
 
 def _row_wise_removal_masks(uniforms, base_weights):
@@ -180,7 +200,7 @@ def test_weighted_removal_equals_the_row_wise_draw():
 
 def _searched_iid_masks(uniforms, p):
     """The i.i.d. draw by np.searchsorted over the cumulative p: the
-    reference that the counted draw must equal bit for bit."""
+    reference that the guided draw must equal bit for bit."""
     cum = np.cumsum(np.asarray(p))
     idx = np.searchsorted(cum, uniforms.reshape(-1) * cum[-1], side="right")
     idx = np.minimum(idx, len(p) - 1).reshape(uniforms.shape).astype(np.uint64)
@@ -202,6 +222,40 @@ def test_iid_draw_equals_the_searched_draw():
         uniforms[50:60] = 0.0
         uniforms[60:70] = 1.0  # the target is then the total, past every sum
         want = _searched_iid_masks(uniforms, model.p)
+        assert np.array_equal(model.draw_groups(uniforms), want)
+
+
+def _searched_weighted_masks(uniforms, model):
+    """The weighted draw by np.searchsorted over the cumulative group
+    weights, the groups listed by itertools: the reference that the guided
+    draw must equal bit for bit."""
+    groups = combinations(range(model.m), model.g)
+    masks = np.fromiter((sum(1 << t for t in c) for c in groups), dtype=np.uint64)
+    cum = np.cumsum(model.weights)
+    idx = np.searchsorted(cum, uniforms[:, 0] * cum[-1], side="right")
+    return masks[np.minimum(idx, len(cum) - 1)]
+
+
+def test_weighted_draw_equals_the_searched_draw():
+    rng = np.random.default_rng(31)
+    laws = [
+        WeightedDistinct(4, 2, (0.3, 0.05, 0.15, 0.2, 0.1, 0.2)),
+        # zero weights first, inside and last, so u = 0 and u = 1 tie with sums
+        WeightedDistinct(4, 2, (0.0, 0.5, 0.0, 0.0, 0.5, 0.0)),
+        # 184,756 groups, more than the guide has buckets
+        WeightedDistinct(20, 10, tuple(rng.dirichlet(np.ones(184_756)))),
+    ]
+    for m, g in ((5, 2), (12, 3), (9, 4)):
+        w = rng.integers(1, 101, size=math.comb(m, g)).astype(float)
+        w[rng.random(w.size) < 0.3] = 0.0
+        w[0] += 1.0
+        laws.append(WeightedDistinct(m, g, tuple(w / w.sum())))
+    for model in laws:
+        uniforms = uniform_span(4, np.arange(20_000, dtype=np.uint64), 0, 1)
+        uniforms[:50] = 1.0 - 2.0**-53
+        uniforms[50:60] = 0.0
+        uniforms[60:70] = 1.0  # the target is then the total, past every sum
+        want = _searched_weighted_masks(uniforms, model)
         assert np.array_equal(model.draw_groups(uniforms), want)
 
 
