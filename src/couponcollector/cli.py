@@ -73,7 +73,9 @@ def _emit(text: str, out_path):
 
 def cmd_exact(args) -> int:
     model = load_model(args.model)
-    result = inclusion_exclusion_expectation(model, exact_cap=args.exact_cap)
+    result = inclusion_exclusion_expectation(
+        model, exact_cap=args.exact_cap, workers=_workers()
+    )
     if args.json:
         text = json.dumps(dataclasses.asdict(result), indent=2) + "\n"
     else:

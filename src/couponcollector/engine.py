@@ -26,10 +26,13 @@ the lattice's cost, so such a law walks its q(S) lattice instead;
 the explicit laws (``WeightedDistinct``, ``DraftLottery``) always do. The
 lattice walk reads q(S) from the model's ``avoidance_blocks``, 2**16
 masks at a time, and no path holds an array of 2**m entries. Both paths
-feed their exact pieces, block by block, into one exact sum
-(``_exact_sum``, which equals ``math.fsum`` without making a Python
-float of each piece), so for every model, on either path, the value is
-the correctly rounded sum of the 2**m subset terms. The sum alternates
+feed their exact pieces, block by block, into one exact integer total
+(``_exact_total``; rounded once, it equals ``math.fsum`` without making a
+Python float of each piece), so for every model, on either path, the
+value is the correctly rounded sum of the 2**m subset terms. The lattice
+blocks may run in forked spans (``oracle._run_spans``); the caller adds
+the spans' integer totals before the one rounding, so the split changes
+no bit of the result. The sum alternates
 and can cancel heavily, and every result carries a cancellation-ratio
 diagnostic. The cap on m (``DEFAULT_EXACT_CAP``) holds for every model,
 and ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
@@ -52,6 +55,7 @@ from .models import (
     _integer,
     _validated_probabilities,
 )
+from .oracle import _run_spans
 
 DEFAULT_EXACT_CAP = 24
 
@@ -70,6 +74,17 @@ _PROBE_VALUES = 12
 # default cap allows: at m = 24, N = 10**8 the 2**23 classes of the
 # first 23 counts took 380 MB, about 45 B each
 _MAX_CLASSES = 1 << (DEFAULT_EXACT_CAP - 1)
+
+# Each span of a forked lattice walk gets at least this many blocks of 2**16
+# masks (see ``oracle._run_spans``). Measured with two workers on a 2-core
+# machine (medians of 9-15 calls, one span against two, in five sittings):
+# a pool of one forked child costs about 6 ms to start and 3 ms to stop,
+# and a block 1.3-1.7 ms. WeightedDistinct(m, 2), DraftLottery(p, 3) and a
+# generic-p IidWithinGroup(p, 3) lose at 8 blocks per span (m = 20:
+# 1.06-1.87x the one-span time), about break even at 16 (m = 21:
+# 0.76-1.04x, once 1.63x) and gain at 32 (m = 22: 0.66-0.96x). The spread
+# is the second vCPU's: at times two busy processes each ran at half speed.
+_PROCESS_MIN_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -104,9 +119,17 @@ def _raise_stuck(mask: int):
 
 
 def inclusion_exclusion_expectation(
-    model: GroupModel, exact_cap: int = DEFAULT_EXACT_CAP
+    model: GroupModel, exact_cap: int = DEFAULT_EXACT_CAP, workers: int = 1
 ) -> ExpectationResult:
-    """Expected number of groups to observe every type at least once."""
+    """Expected number of groups to observe every type at least once.
+
+    ``workers`` caps the processes a lattice walk may run in, as it does
+    for ``simulate_collection``: the caller's and its forked children, at
+    most one per usable CPU, each with at least ``_PROCESS_MIN_BLOCKS``
+    blocks of 2**16 masks, and only where no other Python thread runs and
+    not on macOS. The class path runs as one span. The result is the same
+    for every worker count.
+    """
     _check_capacity(model.m, exact_cap)
     _check_collectable(model)
     if isinstance(model, _CountLaw) and model.m > 53:
@@ -115,24 +138,44 @@ def inclusion_exclusion_expectation(
             f"m={model.m} exceeds the 53-type limit of count-statistic laws "
             f"(subset multiplicities pass 2**53); use the Monte Carlo oracle"
         )
-    source = _count_law_blocks if _sums_by_class(model) else _lattice_blocks
+    workers = max(1, _integer(workers, "workers"))
+    if _sums_by_class(model):
+        spans = [_walk(_count_law_blocks(model))]
+    else:
+        blocks = 1 << max(0, model.m - _BLOCK_BITS)
+        spans = _run_spans(_lattice_span, model, blocks, _PROCESS_MIN_BLOCKS, workers)
+    # the spans' exact totals add up to the one-span total, so the value,
+    # like the |term| sums in block order and the widest size, is the same
+    # however the blocks were split
+    value = sum(total for total, _, _ in spans) / (1 << _UNIT_SHIFT)
+    abs_sums = [x for _, block_sums, _ in spans for x in block_sums]
+    return ExpectationResult(
+        value=value,
+        terms_evaluated=(1 << model.m) - 1,
+        cancellation_ratio=math.fsum(abs_sums) / abs(value),
+        truncated_at=max(widest for _, _, widest in spans),
+    )
+
+
+def _walk(blocks) -> tuple[int, list[float], int]:
+    """The exact total (``_exact_total``) of the pieces of (pieces, |terms|,
+    widest) blocks, the |term| sum of each block, and the widest size."""
     abs_sums = []
     truncated_at = 0
 
     def pieces():
         nonlocal truncated_at
-        for block_pieces, magnitudes, widest in source(model):
+        for block_pieces, magnitudes, widest in blocks:
             abs_sums.append(float(magnitudes.sum()))
             truncated_at = max(truncated_at, widest)
             yield block_pieces
 
-    value = _exact_sum(pieces())
-    return ExpectationResult(
-        value=value,
-        terms_evaluated=(1 << model.m) - 1,
-        cancellation_ratio=math.fsum(abs_sums) / abs(value),
-        truncated_at=truncated_at,
-    )
+    return _exact_total(pieces()), abs_sums, truncated_at
+
+
+def _lattice_span(model: GroupModel, lo: int, hi: int) -> tuple[int, list[float], int]:
+    """``_walk`` of the lattice blocks lo .. hi-1: one span of ``_run_spans``."""
+    return _walk(_lattice_blocks(model, lo, hi))
 
 
 def _sums_by_class(model: GroupModel) -> bool:
@@ -175,9 +218,9 @@ def _block_widest(low_sizes: np.ndarray, q: np.ndarray, high: int) -> int:
     return _widest(low_sizes, q, high.bit_count())
 
 
-def _lattice_blocks(model: GroupModel):
+def _lattice_blocks(model: GroupModel, lo: int = 0, hi: int | None = None):
     """(terms, |terms|, largest |S| with q > 0) blocks of q(S), streamed
-    from ``avoidance_blocks``.
+    from ``avoidance_blocks``: blocks lo .. hi-1, all by default.
 
     Each block is computed in place in the array that ``avoidance_blocks``
     yields, and the signed terms of every block go to one buffer, so a
@@ -189,12 +232,11 @@ def _lattice_blocks(model: GroupModel):
     # an aligned block's masks share their high bits, which flip signs
     flipped = -signs
     terms = np.empty(low.size)
-    for high, block in enumerate(model.avoidance_blocks()):
-        lo = high * low.size
-        first = 1 if lo == 0 else 0  # mask 0 (q = 1) is not a term
+    for high, block in enumerate(model.avoidance_blocks(lo, hi), start=lo):
+        first = 1 if high == 0 else 0  # mask 0 (q = 1) is not a term
         stuck = np.flatnonzero(block[first:] >= 1.0)
         if stuck.size:
-            _raise_stuck(lo + first + int(stuck[0]))
+            _raise_stuck(high * low.size + first + int(stuck[0]))
         widest = _block_widest(low, block, high)
         t = block[first:]
         np.subtract(1.0, t, out=t)
@@ -214,7 +256,14 @@ _UNIT_SHIFT = 1200
 def _exact_sum(blocks) -> float:
     """The correctly rounded sum of the floats in ``blocks`` (arrays of
     finite float64, each of fewer than 2**26), equal to ``math.fsum`` of
-    them all. The blocks are not modified.
+    them all. The blocks are not modified."""
+    return _exact_total(blocks) / (1 << _UNIT_SHIFT)
+
+
+def _exact_total(blocks) -> int:
+    """The exact sum of the floats in ``blocks``, as ``_exact_sum`` takes
+    them, in units of 2**-_UNIT_SHIFT. Totals of any split of the blocks
+    add up to the total of them all.
 
     Each block is cut into binary levels (after Rump, Ogita & Oishi,
     "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
@@ -223,8 +272,8 @@ def _exact_sum(blocks) -> float:
     s the exponent of the largest |x| less bits, takes the integer
     multiples of 2**s out of every float, truncated toward zero, and
     leaves the remainders, each below 2**s, to the next level. The level
-    sums are gathered in one Python int, and one correctly rounded int
-    division scales it back.
+    sums are gathered in one Python int; one correctly rounded int
+    division (``_exact_sum``) scales it back.
     """
     total = 0  # in units of 2**-_UNIT_SHIFT
     rest = level = np.empty(0)
@@ -243,7 +292,7 @@ def _exact_sum(blocks) -> float:
             np.ldexp(y, s, out=y)
             # exact: each remainder keeps the low bits of its float
             x = np.subtract(x, y, out=rest[:n])
-    return total / (1 << _UNIT_SHIFT)
+    return total
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -141,11 +141,12 @@ class GroupModel(ABC):
         """Probability that one drawn group contains no type in the subset."""
 
     @abstractmethod
-    def avoidance_blocks(self):
+    def avoidance_blocks(self, lo: int = 0, hi: int | None = None):
         """Yield q(S) for every subset S in increasing mask order, in aligned
         blocks of 2**b masks, b = min(_BLOCK_BITS, m): block h holds the
-        masks h * 2**b .. (h + 1) * 2**b - 1. Each block is a new array
-        that the caller owns and may overwrite."""
+        masks h * 2**b .. (h + 1) * 2**b - 1. Only blocks lo .. hi-1 are
+        yielded (all 2**(m-b) by default). Each block is a new array that
+        the caller owns and may overwrite."""
 
     def avoidance_table(self) -> np.ndarray:
         """q(S) for every subset S, as an array of length 2**m indexed by mask."""
@@ -264,7 +265,11 @@ def _weighted_removal_masks(
 
 # Every static inverse-CDF draw (urn positions, i.i.d. slots, weighted groups)
 # finds its index through a guide table (Chen & Asau 1974) of at most
-# 2**_GUIDE_BITS buckets; an urn of at most that many individuals has one each.
+# 2**bits buckets, bits = max(_GUIDE_BITS, len(cum).bit_length()): about one
+# per entry of a long ``cum``, so a target's steps stay few. An urn of at most
+# 2**_GUIDE_BITS individuals has one bucket each. With 2**16 buckets,
+# WeightedDistinct(24, 12) (2.7M groups) took 104 steps per target and its
+# 10,912 draws 9.4 ms, against 8.1 ms by np.searchsorted.
 _GUIDE_BITS = 16
 
 
@@ -276,7 +281,8 @@ def _guide(cum: np.ndarray) -> tuple:
     ``first[b]`` counts the stops at or below it, and ``steps`` bounds the rest."""
     exact = cum.dtype.kind == "i"
     top = cum[-1] - 1 if exact else cum[-1]
-    shift = math.frexp(top)[1] - _GUIDE_BITS  # top < 2**(shift + _GUIDE_BITS)
+    bits = max(_GUIDE_BITS, len(cum).bit_length())
+    shift = math.frexp(top)[1] - bits  # top < 2**(shift + bits)
     shift = max(0, shift) if exact else shift
     stops = np.append(cum[:-1], np.iinfo(cum.dtype).max if exact else np.inf)
     starts = np.arange(int(top * 2.0**-shift) + 1, dtype=cum.dtype) * 2**shift
@@ -356,13 +362,13 @@ class _CountLaw(GroupModel):
             excluded += self._counts[i]
         return float(self._count_avoidance(np.array([excluded]))[0])
 
-    def avoidance_blocks(self):
+    def avoidance_blocks(self, lo: int = 0, hi: int | None = None):
         # each block adds its high weights to the low bits' sums in
         # increasing bit order, so its sums are those of subset_sums
         weights = np.asarray(self._counts, dtype=np.float64)
         bits = min(_BLOCK_BITS, self.m)
         low = subset_sums(weights[:bits])
-        for high in range(1 << (self.m - bits)):
+        for high in range(lo, 1 << (self.m - bits) if hi is None else hi):
             excluded = low.copy() if high else low
             for i in types_of(high << bits):
                 excluded += weights[i]
@@ -400,7 +406,7 @@ class _ExplicitLaw(GroupModel):
         inside = (masks & np.uint64(subset_mask)) == 0
         return min(1.0, math.fsum(weights[inside].tolist()))
 
-    def avoidance_blocks(self):
+    def avoidance_blocks(self, lo: int = 0, hi: int | None = None):
         # q(S) is the total weight of the groups inside the complement of
         # S. The masks of block h share the high part h, so the groups it
         # counts are those whose high part misses h: block entry l is the
@@ -415,7 +421,7 @@ class _ExplicitLaw(GroupModel):
         parts, starts = np.unique(masks >> bits, return_index=True)
         runs = list(zip(parts.tolist(), starts.tolist(), [*starts[1:].tolist(), None]))
         low_parts = (masks & ((1 << bits) - 1)).astype(np.intp)
-        for high in range(1 << (self.m - bits)):
+        for high in range(lo, 1 << (self.m - bits) if hi is None else hi):
             inside = [slice(a, b) for part, a, b in runs if not part & high]
             if inside:
                 row = np.bincount(

@@ -93,13 +93,16 @@ _FILL_MIN_DRAWS = 64
 _FILL_MAX_DRAWS = 512
 _PASS_DRAWS = 32
 
-# Each forked process gets at least this many trials. Measured with
-# two workers on a 2-core machine (medians of 11 calls): a process pool costs
-# 24-42 ms to start and stop. weighted_distinct at m=12, g=3, the cheapest
-# trials (about 12 one-uniform draws), breaks even at 3000 trials per span
-# (67 ms on threads or processes) and gains at 4000 (82 against 107 ms);
-# without_replacement on counts (10, 100, 500, 1000), g=2, already gains at
-# 1000 (67 against 82 ms).
+# Each span of a forked simulation gets at least this many trials (see
+# ``_run_spans``). Measured with two workers on a 2-core machine (medians of
+# 11 calls, one span against two, the caller running one of them): a pool
+# of one forked child costs about 6 ms to start and 3 ms to stop.
+# weighted_distinct at m=12, g=3, the cheapest trials (about 12 one-uniform
+# draws, 5.5 us a trial), loses at 2000 trials per span (31 against 22 ms),
+# breaks even at 3000 (31 against 30 ms) and gains at 4000 (35 against
+# 40 ms); without_replacement on counts (10, 100, 500, 1000), g=2, gains
+# from 2000 (45 against 53 ms). The traced two-worker simulation of 4000
+# trials in ``perfbench/tests`` expects one span, so this stays above 2000.
 _PROCESS_MIN_TRIALS = 3000
 
 # The chain solves a level's states in chunks of about this many (state,
@@ -197,41 +200,78 @@ def _fork_is_safe() -> bool:
     return sys.platform != "darwin" and threading.active_count() == 1
 
 
-def _simulate_spans(
-    model: GroupModel, trials: int, seed: int, workers: int, max_draws: int
-) -> np.ndarray:
-    """Group counts for trials 0 .. trials-1; the one place that decides
-    how they run.
+# The work every span of a forked call shares, (span, model, args), set in
+# each child by its pool's initializer: ``fork`` hands it over as the
+# parent's memory, without pickling the model
+_span_work = None
 
-    Where ``processes = min(workers, usable_cpus(), trials //
-    _PROCESS_MIN_TRIALS)`` is at least 2, forking is safe and ``fork`` is
-    available, they run in that many forked processes, one span each.
-    ``fork`` (not ``spawn`` or ``forkserver``) inherits the loaded model and
-    never re-imports the caller's ``__main__``, so a script without a
-    ``__main__`` guard still works. Otherwise they run as one span: in the
-    caller's thread at ``workers=1``, and else in one pool thread, off the
-    caller's thread, as the traced two-worker test in ``perfbench/tests``
-    expects.
+
+def _share_span_work(span, model, args):
+    global _span_work
+    _span_work = span, model, args
+
+
+def _forked_span(lo: int, hi: int):
+    span, model, args = _span_work
+    return span(model, lo, hi, *args)
+
+
+def _run_spans(
+    span, model: GroupModel, units: int, min_units: int, workers: int, *args,
+    off_thread: bool = False,
+) -> list:
+    """[span(model, lo, hi, *args)] for spans that cover units 0 .. units-1,
+    in span order; the one place that decides how spans run.
+
+    Where ``processes = min(workers, usable_cpus(), units // min_units)`` is
+    at least 2, forking is safe and ``fork`` is available, the units split
+    into that many spans: the caller runs span 0 itself and a pool of
+    ``processes - 1`` forked processes runs the others, one each. ``fork``
+    (not ``spawn`` or ``forkserver``) inherits the loaded model, which the
+    pool's initializer hands to each child unpickled, and never re-imports
+    the caller's ``__main__``, so a script without a ``__main__`` guard still
+    works. Only the span bounds cross to the children. The results are read
+    in span order, the caller's first, so where spans fail the earliest one
+    raises. Otherwise the units run as one span in the caller's thread, or,
+    with ``off_thread`` and ``workers`` above 1, in one pool thread, as the
+    traced two-worker simulation in ``perfbench/tests`` expects.
     """
-    processes = min(workers, usable_cpus(), trials // _PROCESS_MIN_TRIALS)
+    processes = min(workers, usable_cpus(), units // min_units)
     if processes > 1 and _fork_is_safe():
         import multiprocessing  # only here: it costs start-up time on import
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            bounds = [round(i * trials / processes) for i in range(processes + 1)]
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(processes, mp_context=context) as pool:
+            bounds = [round(i * units / processes) for i in range(processes + 1)]
+            with ProcessPoolExecutor(
+                processes - 1,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_share_span_work,
+                initargs=(span, model, args),
+            ) as pool:
                 futures = [
-                    pool.submit(_simulate_range, model, lo, hi, seed, max_draws)
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                    pool.submit(_forked_span, lo, hi)
+                    for lo, hi in zip(bounds[1:-1], bounds[2:])
                 ]
-                return np.concatenate([future.result() for future in futures])
-    if workers == 1:
-        return _simulate_range(model, 0, trials, seed, max_draws)
+                first = span(model, 0, bounds[1], *args)
+                return [first] + [future.result() for future in futures]
+    if workers == 1 or not off_thread:
+        return [span(model, 0, units, *args)]
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(_simulate_range, model, 0, trials, seed, max_draws).result()
+        return [pool.submit(span, model, 0, units, *args).result()]
+
+
+def _simulate_spans(
+    model: GroupModel, trials: int, seed: int, workers: int, max_draws: int
+) -> np.ndarray:
+    """Group counts for trials 0 .. trials-1, in spans of at least
+    ``_PROCESS_MIN_TRIALS`` trials (see ``_run_spans``)."""
+    spans = _run_spans(
+        _simulate_range, model, trials, _PROCESS_MIN_TRIALS, workers, seed, max_draws,
+        off_thread=True,
+    )
+    return np.concatenate(spans)
 
 
 def simulate_collection(
@@ -245,9 +285,10 @@ def simulate_collection(
 
     Identical (model, trials, seed) always yields an identical estimate,
     because each trial owns a fixed generator stream. ``workers`` caps the
-    forked processes the trials may run in: at most one per usable CPU, each
-    with at least ``_PROCESS_MIN_TRIALS`` trials, and only where no other
-    Python thread runs and not on macOS; otherwise they run as one span.
+    processes the trials may run in, the caller's and its forked children:
+    at most one per usable CPU, each with at least ``_PROCESS_MIN_TRIALS``
+    trials, and only where no other Python thread runs and not on macOS;
+    otherwise they run as one span.
     ``max_draws`` caps the groups one trial may draw (default
     ``DEFAULT_MAX_DRAWS``, read at call time). A model with more than
     ``SIM_TYPE_CAP`` types, or with a type that no group contains, fails at

@@ -1,5 +1,5 @@
 """Shared helpers: a seeded generator of valid, collectable random models,
-and recorders of the simulator's spans and process pools."""
+and recorders of the span runner's spans and process pools."""
 
 import concurrent.futures
 import math
@@ -51,14 +51,17 @@ def random_model(rng: np.random.Generator, max_m: int = 10, max_g: int = 4):
 
 
 def record_pools(monkeypatch, cpus: int) -> list:
-    """Make the simulator and the CLI see ``cpus`` usable CPUs, and build
-    stub process pools that run each span at submit and fork nothing; the
-    returned list collects the max_workers of each pool made."""
+    """Make the span runner and the CLI see ``cpus`` usable CPUs, and build
+    stub process pools that run their initializer at once and each span at
+    submit, and fork nothing; the returned list collects the max_workers of
+    each pool made."""
     made = []
 
     class Inline:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             made.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -67,13 +70,34 @@ def record_pools(monkeypatch, cpus: int) -> list:
             return False
 
         def submit(self, fn, *args):
+            # a failed span raises at its result, as in a real pool
             future = concurrent.futures.Future()
-            future.set_result(fn(*args))
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
             return future
 
     monkeypatch.setattr(oracle, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    return made
+
+
+def fork_pools(monkeypatch, cpus: int) -> list:
+    """Make the span runner and the CLI see ``cpus`` usable CPUs; the
+    returned list collects the max_workers of each real, forking process
+    pool made."""
+    made = []
+    make = concurrent.futures.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        made.append(max_workers)
+        return make(max_workers, **kwargs)
+
+    monkeypatch.setattr(oracle, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     return made
 
 

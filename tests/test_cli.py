@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import couponcollector
-from conftest import record_spans
+import couponcollector.engine as engine
+from conftest import fork_pools, record_pools, record_spans
 from couponcollector.cli import main
 
 PAPER_MODEL = {"model": "without_replacement", "g": 2, "counts": [10, 100, 500, 1000]}
@@ -58,6 +59,31 @@ class TestExact:
             "truncated_at",
         }
         assert round(payload["value"], 1) == 81.5
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["stub pools", "forked"])
+    def test_forked_lattice_walk_prints_the_one_span_bytes(
+        self, model_file, monkeypatch, capsys, fork
+    ):
+        # m = 18 is four blocks of 2**16: three spans on three CPUs
+        weights = [(7 * t) % 11 + 1 for t in range(18)]
+        p = [w / sum(weights) for w in weights]
+        path = model_file({"model": "draft_lottery", "g": 3, "p": p})
+        argvs = [["exact", "--model", path], ["exact", "--model", path, "--json"]]
+
+        def outputs():
+            got = []
+            for argv in argvs:
+                assert main(argv) == 0
+                got.append(capsys.readouterr().out)
+            return got
+
+        monkeypatch.setenv("COUPONCOLLECTOR_WORKERS", "1")
+        want = outputs()
+        made = (fork_pools if fork else record_pools)(monkeypatch, 3)
+        monkeypatch.setattr(engine, "_PROCESS_MIN_BLOCKS", 1)
+        monkeypatch.delenv("COUPONCOLLECTOR_WORKERS")
+        assert outputs() == want
+        assert made == [2, 2]
 
     def test_out_file(self, model_file, tmp_path):
         target = tmp_path / "report.txt"
@@ -214,7 +240,7 @@ class TestSimulate:
         argv = ["simulate", "--model", model_file(PAPER_MODEL), "--trials", str(trials)]
         assert main(argv) == 0
         assert len(spans) == 1 or min(spans) >= oracle._PROCESS_MIN_TRIALS
-        assert made == ([] if len(spans) == 1 else [len(spans)])
+        assert made == ([] if len(spans) == 1 else [len(spans) - 1])
         assert len(spans) <= cpus
 
     def test_more_than_64_types_exit_3(self, model_file, capsys):

@@ -30,7 +30,7 @@ from couponcollector import (
 )
 import couponcollector.engine as engine
 from couponcollector._bits import mask_of, subset_sums
-from conftest import random_model
+from conftest import fork_pools, random_model, record_pools
 
 PAPER_COUNTS = (10, 100, 500, 1000)
 
@@ -261,9 +261,9 @@ class TestCountPath:
         assert value == float(exact)
 
 
-def _record(calls, name, source, model):
+def _record(calls, name, source, *args):
     calls.append(name)
-    return source(model)
+    return source(*args)
 
 
 def _engine_path(monkeypatch, model):
@@ -533,6 +533,76 @@ class TestWidest:
         low = subset_sums(np.ones(16))
         got = [widest for _, _, widest in engine._lattice_blocks(model)]
         assert got == [engine._widest(low, q, h.bit_count()) for h, q in enumerate(blocks)]
+
+
+def _split_lattice(monkeypatch, mode: str) -> list:
+    """Make lattice walks take a span per block on three usable CPUs, in
+    stub pools that fork nothing or in forked processes; returns the list
+    of the pools' max_workers."""
+    monkeypatch.setattr(engine, "_PROCESS_MIN_BLOCKS", 1)
+    return (record_pools if mode == "stub pools" else fork_pools)(monkeypatch, 3)
+
+
+class TestForkedLattice:
+    """A lattice walk split into spans (``oracle._run_spans``) gives the
+    one-span result bit for bit, and the one-span error."""
+
+    @pytest.mark.parametrize("mode", ["stub pools", "forked"])
+    @pytest.mark.parametrize("kind", ["weighted", "draft", "iid"])
+    def test_split_walks_equal_the_one_span_walk(self, monkeypatch, mode, kind):
+        rng = np.random.default_rng(["weighted", "draft", "iid"].index(kind))
+        m = int(rng.integers(17, 19))
+        g = int(rng.integers(1, 4))
+        p = rng.uniform(0.1, 1.0, size=m)
+        if kind == "weighted":
+            w = rng.uniform(0.1, 1.0, size=math.comb(m, g))
+            model = WeightedDistinct(m, g, tuple(w / w.sum()))
+        elif kind == "draft":
+            model = DraftLottery(tuple(p / p.sum()), g)
+        else:
+            model = IidWithinGroup(tuple(p / p.sum()), g)
+            assert not engine._sums_by_class(model)
+        one = inclusion_exclusion_expectation(model)
+        made = _split_lattice(monkeypatch, mode)
+        split = inclusion_exclusion_expectation(model, workers=3)
+        # 2 or 4 blocks on 3 CPUs: 2 or 3 spans, the caller's one of them
+        assert made == [min(3, 1 << (m - 16)) - 1]
+        assert split.value.hex() == one.value.hex()
+        assert split.cancellation_ratio.hex() == one.cancellation_ratio.hex()
+        assert split.truncated_at == one.truncated_at
+        assert split == one
+
+    def test_workers_are_validated(self):
+        model = DraftLottery((0.4, 0.3, 0.2, 0.1), 2)
+        for workers in (2.7, "3"):  # not 2 or 3 workers
+            with pytest.raises(InputError, match="workers"):
+                inclusion_exclusion_expectation(model, workers=workers)
+        # fewer than one worker means one
+        one = inclusion_exclusion_expectation(model)
+        assert inclusion_exclusion_expectation(model, workers=-3) == one
+
+    @pytest.mark.parametrize("mode", ["one span", "stub pools", "forked"])
+    @pytest.mark.parametrize(
+        "tiny, mask",
+        [((16,), 1 << 16), ((15, 16), 1 << 15)],
+        ids=["in the second span", "in both spans"],
+    )
+    def test_the_first_stuck_mask_is_the_one_span_mask(
+        self, monkeypatch, mode, tiny, mask
+    ):
+        # m = 17 makes two blocks of 2**16, a span each. Each type in tiny
+        # has one group, of weight 2**-60, so q({t}) rounds to 1: type 16's
+        # mask starts the second span, type 15's lies in the first
+        m = 17
+        w = [2.0**-60 if t in tiny else 1 / 16 for t in range(m)]
+        w[0] += 1 - math.fsum(w)
+        model = WeightedDistinct(m, 1, tuple(w))
+        assert np.flatnonzero(model.avoidance_table()[1:] >= 1.0)[0] + 1 == mask
+        made = [] if mode == "one span" else _split_lattice(monkeypatch, mode)
+        with pytest.raises(DivergenceError, match="jointly avoided") as err:
+            inclusion_exclusion_expectation(model, workers=3)
+        assert err.value.subset_mask == mask
+        assert made == ([] if mode == "one span" else [1])
 
 
 class TestSpecializations:

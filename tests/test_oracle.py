@@ -1,5 +1,5 @@
-import concurrent.futures
 import math
+import pickle
 import re
 import threading
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import couponcollector.cli as cli
+import couponcollector.engine as engine
 import couponcollector.oracle as oracle
 from couponcollector import (
     CapacityError,
@@ -23,7 +24,7 @@ from couponcollector import (
     simulate_collection,
 )
 from couponcollector._bits import types_of
-from conftest import random_model, record_pools, record_spans
+from conftest import fork_pools, random_model, record_pools, record_spans
 
 
 def _state_loop_chain(model) -> np.ndarray:
@@ -448,28 +449,39 @@ FIVE_MODELS = [
 def _forked_spans(monkeypatch) -> list:
     """Fork processes for spans of two or more trials on two usable CPUs; the
     returned list collects the max_workers of each process pool made."""
-    made = []
-    make = concurrent.futures.ProcessPoolExecutor
-
-    def spy(max_workers, **kwargs):
-        made.append(max_workers)
-        return make(max_workers, **kwargs)
-
     monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 2)
-    monkeypatch.setattr(oracle, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    return made
+    return fork_pools(monkeypatch, 2)
+
+
+class _Unpicklable(WeightedDistinct):
+    """A weighted law that refuses to be pickled."""
+
+    def __reduce__(self):
+        raise TypeError("this model must not be pickled")
 
 
 class TestWorkerPools:
     TRIALS = 37
+
+    def test_models_reach_forked_spans_unpickled(self, monkeypatch):
+        w = np.arange(math.comb(17, 2)) % 5 + 1.0
+        model = _Unpicklable(17, 2, tuple((w / w.sum()).tolist()))
+        with pytest.raises(TypeError, match="must not be pickled"):
+            pickle.dumps(model)
+        estimate = simulate_collection(model, trials=self.TRIALS, seed=3)
+        exact = inclusion_exclusion_expectation(model)
+        made = _forked_spans(monkeypatch)
+        assert simulate_collection(model, trials=self.TRIALS, seed=3, workers=2) == estimate
+        monkeypatch.setattr(engine, "_PROCESS_MIN_BLOCKS", 1)  # a span per block
+        assert inclusion_exclusion_expectation(model, workers=2) == exact
+        assert made == [1, 1]
 
     @pytest.mark.parametrize("model", FIVE_MODELS, ids=lambda m: m.describe())
     def test_forked_draws_equal_the_reference(self, monkeypatch, model):
         want = _reference_draws(model, 11, self.TRIALS)
         made = _forked_spans(monkeypatch)
         got = oracle._simulate_spans(model, self.TRIALS, 11, 3, 10**6)
-        assert made == [2]
+        assert made == [1]
         assert np.array_equal(got, want)
 
     def test_draw_limit_in_a_child_keeps_its_type_and_message(self, monkeypatch):
@@ -485,7 +497,7 @@ class TestWorkerPools:
                 model, trials=self.TRIALS, seed=11, workers=3, max_draws=longest - 1
             )
         assert type(err.value) is DivergenceError
-        assert made == [2]
+        assert made == [1]
 
     @pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
     def test_pool_size_is_capped_at_the_usable_cpus(self, monkeypatch, forked):
@@ -495,7 +507,7 @@ class TestWorkerPools:
         if forked:
             monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 1)
         got = oracle._simulate_spans(model, self.TRIALS, 4, 10_000, 10**6)
-        assert made == ([3] if forked else [])
+        assert made == ([2] if forked else [])
         assert np.array_equal(got, want)
 
     def test_a_running_thread_keeps_spans_out_of_forked_processes(self, monkeypatch):
@@ -534,7 +546,7 @@ class TestWorkerPools:
         oracle._simulate_spans(UniformDistinct(5, 3), trials, 0, cli._workers(), 10**6)
         assert len(spans) == want and sum(spans) == trials
         assert want == 1 or min(spans) >= oracle._PROCESS_MIN_TRIALS
-        assert made == ([want] if want > 1 else [])
+        assert made == ([want - 1] if want > 1 else [])
 
     @pytest.mark.parametrize(
         "cpus, trials, workers, want",
@@ -547,4 +559,4 @@ class TestWorkerPools:
         spans, made = record_spans(monkeypatch, cpus)
         oracle._simulate_spans(UniformDistinct(5, 3), trials, 0, cli._workers(), 10**6)
         assert len(spans) == want and sum(spans) == trials
-        assert made == ([want] if want > 1 else [])
+        assert made == ([want - 1] if want > 1 else [])
