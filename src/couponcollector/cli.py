@@ -27,7 +27,8 @@ from .models import (
     mandelbrot_weights,
     population_from_weights,
 )
-from .oracle import DEFAULT_TRIALS, simulate_collection, usable_cpus
+from ._spans import usable_cpus
+from .oracle import DEFAULT_TRIALS, simulate_collection
 
 WORKERS_ENV = "COUPONCOLLECTOR_WORKERS"
 

@@ -30,7 +30,7 @@ feed their exact pieces, block by block, into one exact integer total
 (``_exact_total``; rounded once, it equals ``math.fsum`` without making a
 Python float of each piece), so for every model, on either path, the
 value is the correctly rounded sum of the 2**m subset terms. The lattice
-blocks may run in forked spans (``oracle._run_spans``); the caller adds
+blocks may run in forked spans (``_spans._run_spans``); the caller adds
 the spans' integer totals before the one rounding, so the split changes
 no bit of the result. The sum alternates
 and can cancel heavily, and every result carries a cancellation-ratio
@@ -55,7 +55,7 @@ from .models import (
     _integer,
     _validated_probabilities,
 )
-from .oracle import _run_spans
+from ._spans import _run_spans
 
 DEFAULT_EXACT_CAP = 24
 
@@ -76,7 +76,7 @@ _PROBE_VALUES = 12
 _MAX_CLASSES = 1 << (DEFAULT_EXACT_CAP - 1)
 
 # Each span of a forked lattice walk gets at least this many blocks of 2**16
-# masks (see ``oracle._run_spans``). Measured with two workers on a 2-core
+# masks (see ``_spans._run_spans``). Measured with two workers on a 2-core
 # machine (medians of 9-15 calls, one span against two, in five sittings):
 # a pool of one forked child costs about 6 ms to start and 3 ms to stop,
 # and a block 1.3-1.7 ms. WeightedDistinct(m, 2), DraftLottery(p, 3) and a

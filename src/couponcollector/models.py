@@ -265,11 +265,7 @@ def _weighted_removal_masks(
 
 # Every static inverse-CDF draw (urn positions, i.i.d. slots, weighted groups)
 # finds its index through a guide table (Chen & Asau 1974) of at most
-# 2**bits buckets, bits = max(_GUIDE_BITS, len(cum).bit_length()): about one
-# per entry of a long ``cum``, so a target's steps stay few. An urn of at most
-# 2**_GUIDE_BITS individuals has one bucket each. With 2**16 buckets,
-# WeightedDistinct(24, 12) (2.7M groups) took 104 steps per target and its
-# 10,912 draws 9.4 ms, against 8.1 ms by np.searchsorted.
+# 2**_GUIDE_BITS buckets; an urn of at most that many individuals has one each.
 _GUIDE_BITS = 16
 
 
@@ -281,8 +277,7 @@ def _guide(cum: np.ndarray) -> tuple:
     ``first[b]`` counts the stops at or below it, and ``steps`` bounds the rest."""
     exact = cum.dtype.kind == "i"
     top = cum[-1] - 1 if exact else cum[-1]
-    bits = max(_GUIDE_BITS, len(cum).bit_length())
-    shift = math.frexp(top)[1] - bits  # top < 2**(shift + bits)
+    shift = math.frexp(top)[1] - _GUIDE_BITS  # top < 2**(shift + _GUIDE_BITS)
     shift = max(0, shift) if exact else shift
     stops = np.append(cum[:-1], np.iinfo(cum.dtype).max if exact else np.inf)
     starts = np.arange(int(top * 2.0**-shift) + 1, dtype=cum.dtype) * 2**shift

@@ -15,6 +15,7 @@ from couponcollector import (
     WithoutReplacement,
 )
 import couponcollector.cli as cli
+import couponcollector._spans as _spans
 import couponcollector.oracle as oracle
 
 
@@ -78,7 +79,7 @@ def record_pools(monkeypatch, cpus: int) -> list:
                 future.set_exception(exc)
             return future
 
-    monkeypatch.setattr(oracle, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_spans, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
     return made
@@ -95,7 +96,7 @@ def fork_pools(monkeypatch, cpus: int) -> list:
         made.append(max_workers)
         return make(max_workers, **kwargs)
 
-    monkeypatch.setattr(oracle, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_spans, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     return made

@@ -85,6 +85,18 @@ class TestExact:
         assert outputs() == want
         assert made == [2, 2]
 
+    @pytest.mark.parametrize("cmd", ["exact", "simulate"])
+    def test_malformed_workers_exit_2_even_on_the_count_path(
+        self, model_file, monkeypatch, capsys, cmd
+    ):
+        # the paper's model sums by count class, as one span, yet both
+        # commands read the variable before they run
+        monkeypatch.setenv("COUPONCOLLECTOR_WORKERS", "abc")
+        assert main([cmd, "--model", model_file(PAPER_MODEL)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "COUPONCOLLECTOR_WORKERS must be an integer (got 'abc')" in captured.err
+
     def test_out_file(self, model_file, tmp_path):
         target = tmp_path / "report.txt"
         assert (

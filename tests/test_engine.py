@@ -544,7 +544,7 @@ def _split_lattice(monkeypatch, mode: str) -> list:
 
 
 class TestForkedLattice:
-    """A lattice walk split into spans (``oracle._run_spans``) gives the
+    """A lattice walk split into spans (``_spans._run_spans``) gives the
     one-span result bit for bit, and the one-span error."""
 
     @pytest.mark.parametrize("mode", ["stub pools", "forked"])

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import couponcollector._spans as _spans
 import couponcollector.cli as cli
 import couponcollector.engine as engine
 import couponcollector.oracle as oracle
@@ -529,7 +530,7 @@ class TestWorkerPools:
         model = UniformDistinct(5, 3)
         want = _reference_draws(model, 11, self.TRIALS)
         made = _forked_spans(monkeypatch)
-        monkeypatch.setattr(oracle.sys, "platform", "darwin")
+        monkeypatch.setattr(_spans.sys, "platform", "darwin")
         got = oracle._simulate_spans(model, self.TRIALS, 11, 3, 10**6)
         assert made == []
         assert np.array_equal(got, want)

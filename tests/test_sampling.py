@@ -96,7 +96,7 @@ def test_empirical_avoidance_matches_exact(model):
 )
 def test_urn_guide_matches_searchsorted_at_every_type_boundary(cum):
     total, stops, first, shift, steps = guide = _guide(cum)
-    assert len(first) <= 1 << max(16, len(cum).bit_length())
+    assert len(first) <= 1 << 16
     if cum.dtype.kind == "i":
         assert (shift == 0) == (cum[-1] <= 1 << 16)
         # the positions 0 .. N-1
@@ -114,15 +114,15 @@ def test_urn_guide_matches_searchsorted_at_every_type_boundary(cum):
     assert np.array_equal(_guided_search(targets, guide), want)
 
 
-def test_guide_of_a_large_weighted_law_has_a_bucket_per_group():
-    # 184,756 groups: with 2**16 buckets a target passed up to 14 stops
-    # beyond its bucket's first
+def test_guide_of_a_large_weighted_law_matches_searchsorted():
+    # 184,756 groups share the 2**16 buckets, so a target may pass several
+    # stops beyond its bucket's first
     w = np.random.default_rng(20).integers(1, 101, size=math.comb(20, 10))
     model = WeightedDistinct(20, 10, tuple((w / w.sum()).tolist()))
     cum = np.cumsum(model._group_law[1])
     total, _, first, _, steps = guide = model._draw_guide
     assert total == cum[-1]
-    assert 2 * len(first) > len(cum) and steps < 14
+    assert len(first) <= 1 << 16 and steps > 1
     targets = np.concatenate(
         [
             np.random.default_rng(1).random(50_000) * total,
