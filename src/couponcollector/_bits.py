@@ -117,37 +117,50 @@ def subset_sum_classes(
     return sums, signed, total, largest
 
 
-def subset_zeta(values: np.ndarray) -> np.ndarray:
+def zeta_layout(masks: np.ndarray, m: int) -> np.ndarray:
+    """The position in ``subset_zeta``'s input of each of the masks, of m
+    bits: the mask order reversed, which complements each mask, with the
+    low chunk of k = min(4, m) bits moved to the top. The complement c
+    goes to (c mod 2**k) * 2**(m-k) + c // 2**k.
+    """
+    k = min(4, m)
+    c = ((1 << m) - 1) - masks
+    return ((c & ((1 << k) - 1)) << (m - k)) | (c >> k)
+
+
+def subset_zeta(laid: np.ndarray) -> np.ndarray:
     """Sum-over-subsets transform read at complements: entry T of the
-    result is the sum of values[S] over the S disjoint from T.
+    result is the sum of the values of the S disjoint from T, for a row
+    that holds the value of S at ``zeta_layout(S, m)``.
 
     That is the standard transform (out[T] = sum of values[S] for S
     subseteq T, one vectorized pass per bit, bits in increasing order)
     reversed, since reversing an array of 2**m entries complements each
     index; every entry gets the same additions in the same order, so the
     floats are the same. Read reversed, each pass is a superset sum. The
-    bits go in chunks of up to 4 from the bottom: one transposing copy
-    moves a chunk to the top of the layout, where its passes add runs of
-    at least 2**(m-4) floats (numpy adds short runs several times slower
-    per float); after the last chunk the layout is back in mask order.
+    bits go in chunks of up to 4 from the bottom, each at the top of the
+    layout, where its passes add runs of at least 2**(m-4) floats (numpy
+    adds short runs several times slower per float): a transposing copy
+    moves each later chunk there, and after the last chunk the layout is
+    back in mask order. The first chunk is already there in the input's
+    layout, which is what that copy would make of the reversed row, so a
+    row built straight into it (by ``np.bincount`` at ``zeta_layout``)
+    saves one copy of the four at m = 16.
 
-    ``values`` must be a contiguous float64 array of length 2**m. The
-    result is a new contiguous array or ``values`` itself, which serves as
-    the second buffer of the copies, so its contents are lost.
+    ``laid`` must be a contiguous float64 array of length 2**m. The result
+    is a new contiguous array or ``laid`` itself, which serves as one of
+    the two buffers of the copies, so its contents are lost.
     """
-    n = values.shape[0]
+    n = laid.shape[0]
     m = n.bit_length() - 1
     if 1 << m != n:
         raise ValueError("length must be a power of two")
-    if m == 0:
-        return values  # the empty set is its own complement
-    src, buffers = values[::-1], (np.empty(n), values)
-    # the first copy reads all of ``values``, so the chunks after it can
-    # alternate between the two buffers
+    src, buffers = laid, (laid, np.empty(n))
     for i, low in enumerate(range(0, m, 4)):
         k = min(4, m - low)
         out = buffers[i % 2]
-        np.copyto(out.reshape(1 << k, -1), src.reshape(-1, 1 << k).T)
+        if i:
+            np.copyto(out.reshape(1 << k, -1), src.reshape(-1, 1 << k).T)
         for j in range(k):
             chunk = out.reshape(1 << (k - 1 - j), 2, -1)
             chunk[:, 0, :] += chunk[:, 1, :]

@@ -29,13 +29,18 @@ masks at a time, and no path holds an array of 2**m entries. Both paths
 feed their exact pieces, block by block, into one exact integer total
 (``_exact_total``; rounded once, it equals ``math.fsum`` without making a
 Python float of each piece), so for every model, on either path, the
-value is the correctly rounded sum of the 2**m subset terms. The lattice
-blocks may run in forked spans (``_spans._run_spans``); the caller adds
-the spans' integer totals before the one rounding, so the split changes
-no bit of the result. The sum alternates
-and can cancel heavily, and every result carries a cancellation-ratio
-diagnostic. The cap on m (``DEFAULT_EXACT_CAP``) holds for every model,
-and ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
+value is the correctly rounded sum of the 2**m subset terms. The total
+splits each block by extraction: adding and then subtracting a power of
+two 2**k well above the block's floats rounds each to a multiple of
+2**(k-53), exactly, and leaves an exact remainder for the next, lower
+level, until a plain float64 sum of what is left is exact; one scan of
+the block fixes every level, and each level takes 4 passes over it. The
+lattice blocks may run in forked spans (``_spans._run_spans``); the
+caller adds the spans' integer totals before the one rounding, so the
+split changes no bit of the result. The sum alternates and can cancel
+heavily, and every result carries a cancellation-ratio diagnostic. The
+cap on m (``DEFAULT_EXACT_CAP``) holds for every model, and
+``terms_evaluated`` counts the 2**m - 1 subset terms either way.
 """
 
 import math
@@ -52,6 +57,7 @@ from .models import (
     WithoutReplacement,
     _check_collectable,
     _CountLaw,
+    _ExplicitLaw,
     _integer,
     _validated_probabilities,
 )
@@ -142,6 +148,9 @@ def inclusion_exclusion_expectation(
     if _sums_by_class(model):
         spans = [_walk(_count_law_blocks(model))]
     else:
+        if isinstance(model, _ExplicitLaw):
+            # built in the caller, so that forked spans inherit it
+            model._block_runs
         blocks = 1 << max(0, model.m - _BLOCK_BITS)
         spans = _run_spans(_lattice_span, model, blocks, _PROCESS_MIN_BLOCKS, workers)
     # the spans' exact totals add up to the one-span total, so the value,
@@ -234,9 +243,13 @@ def _lattice_blocks(model: GroupModel, lo: int = 0, hi: int | None = None):
     terms = np.empty(low.size)
     for high, block in enumerate(model.avoidance_blocks(lo, hi), start=lo):
         first = 1 if high == 0 else 0  # mask 0 (q = 1) is not a term
-        stuck = np.flatnonzero(block[first:] >= 1.0)
-        if stuck.size:
-            _raise_stuck(high * low.size + first + int(stuck[0]))
+        if high:
+            # q does not increase as S grows, and every mask of the block
+            # holds its first, so its first q is its largest
+            if block[0] >= 1.0:
+                _raise_stuck(high * low.size)
+        elif (stuck := np.flatnonzero(block[1:] >= 1.0)).size:
+            _raise_stuck(1 + int(stuck[0]))
         widest = _block_widest(low, block, high)
         t = block[first:]
         np.subtract(1.0, t, out=t)
@@ -247,9 +260,9 @@ def _lattice_blocks(model: GroupModel, lo: int = 0, hi: int | None = None):
         yield signed, t, widest
 
 
-# the exact sum's fixed point, 2**-_UNIT_SHIFT: every level has
-# s >= -1073 - 51 (a subnormal's exponent less bits), so its 2**s is a
-# whole number of units
+# the exact sum's fixed point, 2**-_UNIT_SHIFT: every level of
+# ``_exact_total`` sums multiples of a power of two no smaller than the
+# least subnormal, 2**-1074, so each is a whole number of units
 _UNIT_SHIFT = 1200
 
 
@@ -265,15 +278,22 @@ def _exact_total(blocks) -> int:
     them, in units of 2**-_UNIT_SHIFT. Totals of any split of the blocks
     add up to the total of them all.
 
-    Each block is cut into binary levels (after Rump, Ogita & Oishi,
-    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
-    2008). With n floats a level's integers stay below 2**bits, bits =
-    52 - n.bit_length(), so their float64 sum is exact: the level at 2**s,
-    s the exponent of the largest |x| less bits, takes the integer
-    multiples of 2**s out of every float, truncated toward zero, and
-    leaves the remainders, each below 2**s, to the next level. The level
-    sums are gathered in one Python int; one correctly rounded int
-    division (``_exact_sum``) scales it back.
+    Each block of n floats is cut into levels by extraction (Rump, Ogita &
+    Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
+    Comput. 31, 2008). A level takes sigma = 2**k with 2**k >= 2n * max|x|.
+    Then q = fl(fl(sigma + x) - sigma) is x rounded to a multiple of
+    2**(k-53), and all n of them add up to at most 2**52 + n such
+    multiples, so their float64 sum is exact. The remainder x - q is
+    exact too (the rounding error of sigma + x), at most 2**(k-53), and
+    the next level, 53 - log2(2n) bits lower, takes it. Every x, and so
+    every remainder, is a multiple of u, the ulp of the smallest nonzero
+    |x|, so once the remainders add up to at most 2**53 * u in magnitude
+    their plain float64 sum is exact, and it ends the block: one scan of
+    |x| for its largest and smallest entry fixes every level. Where 2**k
+    would overflow (max|x| above about 2**1023 / 2n), levels that
+    truncate x to multiples of 2**s, each integer below 2**52 / n, first
+    take the top bits. The level sums are gathered in one Python int; one
+    correctly rounded int division (``_exact_sum``) scales it back.
     """
     total = 0  # in units of 2**-_UNIT_SHIFT
     rest = level = np.empty(0)
@@ -281,17 +301,34 @@ def _exact_total(blocks) -> int:
         n = block.size
         if n > rest.size:
             rest, level = np.empty(n), np.empty(n)
-        bits = 52 - n.bit_length()
         x, y = block, level[:n]
         # the first level reads the block, each later one the remainders
-        while n and (top := max(x.max(), -x.min())) > 0.0:
-            s = math.frexp(top)[1] - bits
+        magnitudes = np.abs(x, out=y)
+        if not n or (top := magnitudes.max()) == 0.0:
+            continue
+        low = magnitudes.min()
+        if low == 0.0:
+            low = magnitudes.min(where=magnitudes > 0.0, initial=top)
+        u_exp = max(math.frexp(low)[1] - 53, -1074)  # u = 2**u_exp
+        spread = (2 * n - 1).bit_length()  # 2n <= 2**spread
+        e = math.frexp(top)[1]  # every |x| < 2**e
+        while e + spread > 1023:
+            s = e - (52 - n.bit_length())
             np.ldexp(x, -s, out=y)  # exact, or below 1 where it underflows
             np.trunc(y, out=y)
             total += int(y.sum()) << (s + _UNIT_SHIFT)
             np.ldexp(y, s, out=y)
-            # exact: each remainder keeps the low bits of its float
             x = np.subtract(x, y, out=rest[:n])
+            e = s
+        k = e + spread  # every |x| <= 2**(k - spread)
+        while k - 54 > u_exp:
+            sigma = math.ldexp(1.0, k)
+            q = np.subtract(np.add(x, sigma, out=y), sigma, out=y)
+            total += int(math.ldexp(float(q.sum()), 53 - k)) << (k - 53 + _UNIT_SHIFT)
+            x = np.subtract(x, q, out=rest[:n])
+            k -= 53 - spread
+        # the |x| add up to at most 2**(k-1) <= 2**53 * u: the sum is exact
+        total += int(math.ldexp(float(x.sum()), -u_exp)) << (u_exp + _UNIT_SHIFT)
     return total
 
 

@@ -47,7 +47,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from ._bits import _BLOCK_BITS, subset_sums, subset_zeta, types_of
+from ._bits import _BLOCK_BITS, subset_sums, subset_zeta, types_of, zeta_layout
 from .errors import CapacityError, DivergenceError, InputError
 
 PROB_SUM_TOLERANCE = 1e-9
@@ -401,32 +401,43 @@ class _ExplicitLaw(GroupModel):
         inside = (masks & np.uint64(subset_mask)) == 0
         return min(1.0, math.fsum(weights[inside].tolist()))
 
-    def avoidance_blocks(self, lo: int = 0, hi: int | None = None):
-        # q(S) is the total weight of the groups inside the complement of
-        # S. The masks of block h share the high part h, so the groups it
-        # counts are those whose high part misses h: block entry l is the
-        # weight of those whose low mask misses l, the row of their low
-        # masks zeta-summed at complements
+    @cached_property
+    def _block_runs(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """(runs, positions, weights): the groups sorted by high part, each
+        run of one high part in the law's order, as (part, start, stop)
+        triples, so that a block reads only the groups it counts; and each
+        group's low mask as its position in ``zeta_layout``. Built once
+        per model: the engine builds it before its lattice walk forks, so
+        that the forked spans inherit it."""
         masks, weights = self._group_law
         bits = min(_BLOCK_BITS, self.m)
-        # runs of groups with one high part, each in the law's order, so
-        # that a block reads only the groups it counts
         order = np.argsort(masks >> bits, kind="stable")
         masks, weights = masks[order], weights[order]
         parts, starts = np.unique(masks >> bits, return_index=True)
         runs = list(zip(parts.tolist(), starts.tolist(), [*starts[1:].tolist(), None]))
         low_parts = (masks & ((1 << bits) - 1)).astype(np.intp)
+        return runs, zeta_layout(low_parts, bits), weights
+
+    def avoidance_blocks(self, lo: int = 0, hi: int | None = None):
+        # q(S) is the total weight of the groups inside the complement of
+        # S. The masks of block h share the high part h, so the groups it
+        # counts are those whose high part misses h: block entry l is the
+        # weight of those whose low mask misses l, the row of their low
+        # masks zeta-summed at complements, summed straight into the
+        # zeta's layout
+        runs, positions, weights = self._block_runs
+        bits = min(_BLOCK_BITS, self.m)
         for high in range(lo, 1 << (self.m - bits) if hi is None else hi):
             inside = [slice(a, b) for part, a, b in runs if not part & high]
             if inside:
-                row = np.bincount(
-                    np.concatenate([low_parts[run] for run in inside]),
+                laid = np.bincount(
+                    np.concatenate([positions[run] for run in inside]),
                     weights=np.concatenate([weights[run] for run in inside]),
                     minlength=1 << bits,
                 )
             else:
-                row = np.zeros(1 << bits)
-            block = subset_zeta(row)
+                laid = np.zeros(1 << bits)
+            block = subset_zeta(laid)
             np.clip(block, 0.0, 1.0, out=block)
             if high == 0:
                 block[0] = 1.0  # every group avoids the empty set

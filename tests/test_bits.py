@@ -11,6 +11,7 @@ from couponcollector._bits import (
     subset_sums,
     subset_zeta,
     types_of,
+    zeta_layout,
 )
 
 
@@ -62,11 +63,19 @@ def test_subset_sum_classes_reject_inexact_multiplicities():
         subset_sum_classes((1,) * 53)
 
 
+def _laid_out(values):
+    """``values``, in mask order, at the positions of ``zeta_layout``."""
+    m = values.size.bit_length() - 1
+    laid = np.empty_like(values)
+    laid[zeta_layout(np.arange(values.size), m)] = values
+    return laid
+
+
 def test_subset_zeta_matches_brute_force():
     # entry T sums the values of the masks disjoint from T
     rng = np.random.default_rng(3)
     values = rng.uniform(-1, 1, size=32)
-    zeta = subset_zeta(values.copy())
+    zeta = subset_zeta(_laid_out(values))
     for mask in range(32):
         expected = sum(values[s] for s in range(32) if s & mask == 0)
         assert zeta[mask] == pytest.approx(expected, rel=1e-12)
@@ -91,9 +100,17 @@ def test_subset_zeta_is_the_bit_by_bit_loop(m):
     for _ in range(5):
         values = rng.uniform(0.0, 1.0, size=1 << m) * 2.0 ** rng.integers(-20, 1, 1 << m)
         values[rng.uniform(size=1 << m) < 0.5] = 0.0
-        zeta = subset_zeta(values.copy())
+        want = _zeta_bit_by_bit(values)[::-1].tobytes()
+        zeta = subset_zeta(_laid_out(values))
         assert zeta.flags.c_contiguous
-        assert zeta.tobytes() == _zeta_bit_by_bit(values)[::-1].tobytes()
+        assert zeta.tobytes() == want
+        # the row summed straight into the layout, as the explicit laws
+        # build it: one bincount entry per nonzero value
+        masks = np.flatnonzero(values)
+        laid = np.bincount(
+            zeta_layout(masks, m), weights=values[masks], minlength=1 << m
+        )
+        assert subset_zeta(laid).tobytes() == want
 
 
 def test_subset_zeta_rejects_bad_length():

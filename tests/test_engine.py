@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -29,6 +30,7 @@ from couponcollector import (
     uniform_single_expectation,
 )
 import couponcollector.engine as engine
+import couponcollector.models as models
 from couponcollector._bits import mask_of, subset_sums
 from conftest import fork_pools, random_model, record_pools
 
@@ -371,10 +373,41 @@ _anywhere = st.one_of(
     ),
 )
 _arrays = st.lists(_anywhere, max_size=40).map(np.array)
+# every finite float, with the binades next to the largest one weighted up
+_topmost = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(
+        math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1126, 971)
+    ),
+    st.builds(
+        math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(940, 971)
+    ),
+)
 
 
 def _fsum_of(blocks) -> float:
     return math.fsum(x for block in blocks for x in block.tolist())
+
+
+_LATTICE_KINDS = ["weighted", "draft", "iid"]
+
+
+def _lattice_model(kind: str, seed: int):
+    """A random law of one of the kinds that walk the lattice, at m = 17-18:
+    a ``WeightedDistinct``, a ``DraftLottery`` or a generic-p
+    ``IidWithinGroup``."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(17, 19))
+    g = int(rng.integers(1, 4))
+    p = rng.uniform(0.1, 1.0, size=m)
+    if kind == "weighted":
+        w = rng.uniform(0.1, 1.0, size=math.comb(m, g))
+        return WeightedDistinct(m, g, tuple(w / w.sum()))
+    if kind == "draft":
+        return DraftLottery(tuple(p / p.sum()), g)
+    model = IidWithinGroup(tuple(p / p.sum()), g)
+    assert not engine._sums_by_class(model)
+    return model
 
 
 class TestExactSum:
@@ -439,6 +472,64 @@ class TestExactSum:
         block = np.ldexp(mantissas.astype(np.float64), exponents)
         assert engine._exact_sum([block]).hex() == _fsum_of([block]).hex()
 
+    @pytest.mark.parametrize("top", [19, 20])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_remainders_of_one_sign_near_their_bound(self, seed, top):
+        # 2**17 floats in [1, 2), each 1 to 2**20 ulps below an odd
+        # multiple of Q = 2**(top-34), and one float in [2**top, 2**(top+1))
+        # that puts the first level's sigma at 2**(top+19). That level
+        # rounds the small floats to multiples of 2 * Q, so every
+        # remainder is just below +Q, and the remainders add up to
+        # 2**(top+3) ulps of 1: past 2**53, where a float64 sum of them
+        # rounds. The rounded total would hide so small an error, so the
+        # exact total itself is compared
+        rng = np.random.default_rng(seed)
+        q = 2.0 ** (top - 34)
+        multiples = rng.integers(0, 2 ** (33 - top) - 1, size=(1 << 17) - 1)
+        below = (2 * rng.integers(0, 1 << 19, size=multiples.size) + 1) * 2.0**-52
+        small = 1.0 + multiples * (2 * q) + q - below
+        block = np.append(small, 1.5 * 2.0**top)
+        rng.shuffle(block)
+        units = 0
+        for x in block.tolist():
+            numerator, denominator = x.as_integer_ratio()
+            units += (numerator << engine._UNIT_SHIFT) // denominator
+        assert engine._exact_total([block]) == units
+
+    @given(st.lists(st.lists(_topmost, max_size=40).map(np.array), max_size=4))
+    @settings(max_examples=200)
+    def test_the_top_of_the_range(self, blocks):
+        # floats up to the largest finite one, where sigma = 2**k with
+        # 2**k >= 2n * max|x| would pass 2**1023: the top bits go first.
+        # Where fsum's partials overflow, the exact rational sum rounded
+        # once is the reference, and both overflow together
+        exact = sum(Fraction(x) for block in blocks for x in block.tolist())
+        try:
+            want = _fsum_of(blocks)
+        except OverflowError:
+            try:
+                want = float(exact)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    engine._exact_sum(blocks)
+                return
+        assert engine._exact_sum(blocks).hex() == want.hex() == float(exact).hex()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_full_block_from_subnormals_to_the_largest_float(self, seed):
+        # 2**17 floats from subnormals to 2**953 with random signs, and the
+        # largest finite float, in and out, at random places: the running
+        # sum stays finite, so fsum does not overflow
+        rng = np.random.default_rng(seed)
+        mantissas = rng.integers(-(1 << 53) + 1, 1 << 53, size=1 << 17)
+        exponents = rng.integers(-1126, 901, size=1 << 17)
+        block = np.ldexp(mantissas.astype(np.float64), exponents)
+        top = np.finfo(np.float64).max
+        places = np.sort(rng.choice(block.size, size=5, replace=False))
+        block[places] = [top, -top, top, -top, top]
+        block[rng.integers(block.size)] = 2.0**-1074
+        assert engine._exact_sum([block]).hex() == _fsum_of([block]).hex()
+
 
 class TestLatticeStreaming:
     """The engine walks the lattice laws' q(S) block by block and holds
@@ -457,7 +548,19 @@ class TestLatticeStreaming:
         assert err.value.subset_mask == mask
         assert np.flatnonzero(model.avoidance_table()[1:] >= 1.0)[0] + 1 == mask
 
-    @pytest.mark.parametrize("kind", ["weighted", "draft", "iid"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", _LATTICE_KINDS)
+    def test_a_later_block_peaks_at_its_first_mask(self, kind, seed):
+        # every mask of block h > 0 holds its first, h * 2**16, and q does
+        # not increase as S grows, so the first q is the block's largest:
+        # the stuck check of a later block reads that one entry
+        model = _lattice_model(kind, 10 * seed + _LATTICE_KINDS.index(kind))
+        blocks = list(model.avoidance_blocks())
+        assert len(blocks) == 1 << (model.m - 16)
+        for block in blocks[1:]:
+            assert block[0] == block.max()
+
+    @pytest.mark.parametrize("kind", _LATTICE_KINDS)
     def test_memory_stays_below_a_quarter_of_the_table(self, kind):
         m, g = 22, 3
         rng = np.random.default_rng(m)
@@ -543,25 +646,23 @@ def _split_lattice(monkeypatch, mode: str) -> list:
     return (record_pools if mode == "stub pools" else fork_pools)(monkeypatch, 3)
 
 
+def _logged(log, name, build, model):
+    """``build(model)``, after appending ``name`` and the process id to
+    the file ``log``."""
+    with open(log, "a") as fh:
+        fh.write(f"{name} {os.getpid()}\n")
+    return build(model)
+
+
 class TestForkedLattice:
     """A lattice walk split into spans (``_spans._run_spans``) gives the
     one-span result bit for bit, and the one-span error."""
 
     @pytest.mark.parametrize("mode", ["stub pools", "forked"])
-    @pytest.mark.parametrize("kind", ["weighted", "draft", "iid"])
+    @pytest.mark.parametrize("kind", _LATTICE_KINDS)
     def test_split_walks_equal_the_one_span_walk(self, monkeypatch, mode, kind):
-        rng = np.random.default_rng(["weighted", "draft", "iid"].index(kind))
-        m = int(rng.integers(17, 19))
-        g = int(rng.integers(1, 4))
-        p = rng.uniform(0.1, 1.0, size=m)
-        if kind == "weighted":
-            w = rng.uniform(0.1, 1.0, size=math.comb(m, g))
-            model = WeightedDistinct(m, g, tuple(w / w.sum()))
-        elif kind == "draft":
-            model = DraftLottery(tuple(p / p.sum()), g)
-        else:
-            model = IidWithinGroup(tuple(p / p.sum()), g)
-            assert not engine._sums_by_class(model)
+        model = _lattice_model(kind, _LATTICE_KINDS.index(kind))
+        m = model.m
         one = inclusion_exclusion_expectation(model)
         made = _split_lattice(monkeypatch, mode)
         split = inclusion_exclusion_expectation(model, workers=3)
@@ -571,6 +672,28 @@ class TestForkedLattice:
         assert split.cancellation_ratio.hex() == one.cancellation_ratio.hex()
         assert split.truncated_at == one.truncated_at
         assert split == one
+
+    @pytest.mark.parametrize("kind", ["weighted", "draft"])
+    def test_the_block_runs_are_built_once_in_the_caller(
+        self, monkeypatch, tmp_path, kind
+    ):
+        # the caller builds an explicit law's sorted runs, and with them a
+        # draft lottery's group law, before the walk forks, so the forked
+        # spans inherit both. Each build writes its name and process id
+        model = _lattice_model(kind, _LATTICE_KINDS.index(kind))
+        log = tmp_path / "builds"
+        laws = ((models._ExplicitLaw, "_block_runs"), (type(model), "_group_law"))
+        for owner, name in laws:
+            prop = getattr(owner, name)
+            monkeypatch.setattr(prop, "func", partial(_logged, log, name, prop.func))
+        made = _split_lattice(monkeypatch, "forked")
+        inclusion_exclusion_expectation(model, workers=3)
+        assert made == [min(3, 1 << (model.m - 16)) - 1]
+        caller = os.getpid()
+        assert sorted(log.read_text().splitlines()) == [
+            f"_block_runs {caller}",
+            f"_group_law {caller}",
+        ]
 
     def test_workers_are_validated(self):
         model = DraftLottery((0.4, 0.3, 0.2, 0.1), 2)
