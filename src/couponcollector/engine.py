@@ -11,35 +11,41 @@ never avoid (q(S) = 0) contribute a bare (-1)**(|S|+1); keeping them in
 the sum reproduces the trailing binomial correction of the distinct-group
 closed form without a special case.
 
-Count-statistic laws (``UniformDistinct``, ``WithoutReplacement``,
+Before any q(S) table or class is built, ``_exact_path`` checks every
+limit that can fail there and picks the walk, in this order:
+
+1. m above ``exact_cap`` (an integer, ``DEFAULT_EXACT_CAP`` by default)
+   raises ``CapacityError``, for every model;
+2. a type that no group contains raises ``DivergenceError``;
+3. explicit laws (``WeightedDistinct``, ``DraftLottery``) walk the lattice;
+4. a count law above 53 types raises ``CapacityError`` (only a cap of 54
+   or more reaches it);
+5. integer counts take the class path, and so do real weights when the
+   subset sums of their first ``_PROBE_VALUES`` coincide; other real
+   weights (a generic p) walk the lattice;
+6. on the class path, a single type with q = 1 raises
+   ``DivergenceError``, and more than ``_MAX_CLASSES`` classes raise
+   ``CapacityError``.
+
+The lattice walk raises ``DivergenceError`` at its first subset with
+q = 1. Count-statistic laws (``UniformDistinct``, ``WithoutReplacement``,
 ``IidWithinGroup``) have q(S) = q(c) for the excluded weight c, the sum
 of the type weights over S, so every subset with weight c has the term
-(-1)**(|S|+1) * t_c with t_c = 1 / (1 - q(c)). Their sum runs over the
-distinct subset sums c, at most N + 1 of them for a population of N:
+(-1)**(|S|+1) * t_c with t_c = 1 / (1 - q(c)). The class path sums over
+the distinct subset sums c, at most N + 1 of them for a population of N:
 E = -sum over c > 0 of a_c * t_c, with a_c the signed number of subsets
 with sum c (for counts, the coefficient of x**c in prod(1 - x**n_i)).
 The sums are the very floats of the 2**m lattice, so a_c * t_c is the
 exact total of that class's subset terms; each product is split into
-floats that sum to it exactly, in O(classes) memory. Real weights whose
-sums never coincide (a generic p) would make 2**m classes at about twice
-the lattice's cost, so such a law walks its q(S) lattice instead;
-the explicit laws (``WeightedDistinct``, ``DraftLottery``) always do. The
-lattice walk reads q(S) from the model's ``avoidance_blocks``, 2**16
-masks at a time, and no path holds an array of 2**m entries. Both paths
-feed their exact pieces, block by block, into one exact integer total
-(``_exact_total``; rounded once, it equals ``math.fsum`` without making a
-Python float of each piece), so for every model, on either path, the
-value is the correctly rounded sum of the 2**m subset terms. The total
-splits each block by extraction: adding and then subtracting a power of
-two 2**k well above the block's floats rounds each to a multiple of
-2**(k-53), exactly, and leaves an exact remainder for the next, lower
-level, until a plain float64 sum of what is left is exact; one scan of
-the block fixes every level, and each level takes 4 passes over it. The
-lattice blocks may run in forked spans (``_spans._run_spans``); the
-caller adds the spans' integer totals before the one rounding, so the
-split changes no bit of the result. The sum alternates and can cancel
-heavily, and every result carries a cancellation-ratio diagnostic. The
-cap on m (``DEFAULT_EXACT_CAP``) holds for every model, and
+floats that sum to it exactly, in O(classes) memory. The lattice walk
+reads q(S) from the model's ``avoidance_blocks``, 2**16 masks at a time,
+and its blocks may run in forked spans (``_spans._run_spans``); no path
+holds an array of 2**m entries. Both paths feed their exact pieces, block
+by block, into exact integer totals (``_exact_total``) that the caller
+adds and rounds once, so for every model, on either path and however the
+blocks were split, the value is the correctly rounded sum of the 2**m
+subset terms, ``math.fsum`` of them. The sum alternates and can cancel
+heavily, and every result carries a cancellation-ratio diagnostic;
 ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
 """
 
@@ -57,7 +63,6 @@ from .models import (
     WithoutReplacement,
     _check_collectable,
     _CountLaw,
-    _ExplicitLaw,
     _integer,
     _validated_probabilities,
 )
@@ -109,6 +114,7 @@ class ExpectationResult:
 
 
 def _check_capacity(m: int, exact_cap: int):
+    exact_cap = _integer(exact_cap, "exact_cap")
     if m > exact_cap:
         raise CapacityError(
             f"m={m} exceeds the exact-computation cap of {exact_cap} "
@@ -136,22 +142,11 @@ def inclusion_exclusion_expectation(
     not on macOS. The class path runs as one span. The result is the same
     for every worker count.
     """
-    _check_capacity(model.m, exact_cap)
-    _check_collectable(model)
-    if isinstance(model, _CountLaw) and model.m > 53:
-        # the class build takes all weights but the last
-        raise CapacityError(
-            f"m={model.m} exceeds the 53-type limit of count-statistic laws "
-            f"(subset multiplicities pass 2**53); use the Monte Carlo oracle"
-        )
     workers = max(1, _integer(workers, "workers"))
-    if _sums_by_class(model):
+    path, blocks = _exact_path(model, exact_cap)
+    if path == "classes":
         spans = [_walk(_count_law_blocks(model))]
     else:
-        if isinstance(model, _ExplicitLaw):
-            # built in the caller, so that forked spans inherit it
-            model._block_runs
-        blocks = 1 << max(0, model.m - _BLOCK_BITS)
         spans = _run_spans(_lattice_span, model, blocks, _PROCESS_MIN_BLOCKS, workers)
     # the spans' exact totals add up to the one-span total, so the value,
     # like the |term| sums in block order and the widest size, is the same
@@ -164,6 +159,52 @@ def inclusion_exclusion_expectation(
         cancellation_ratio=math.fsum(abs_sums) / abs(value),
         truncated_at=max(widest for _, _, widest in spans),
     )
+
+
+def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int | None]:
+    """Check every limit of the exact sum, in the module docstring's
+    order, and pick the walk: ("classes", None) for the sum over distinct
+    subset sums, or ("lattice", its number of 2**16-mask blocks)."""
+    _check_capacity(model.m, exact_cap)
+    _check_collectable(model)
+    blocks = 1 << max(0, model.m - _BLOCK_BITS)
+    if not isinstance(model, _CountLaw):
+        model._block_runs  # built in the caller, so that forked spans inherit it
+        return "lattice", blocks
+    if model.m > 53:
+        # the class build takes all weights but the last
+        raise CapacityError(
+            f"m={model.m} exceeds the 53-type limit of count-statistic laws "
+            f"(subset multiplicities pass 2**53); use the Monte Carlo oracle"
+        )
+    counts = model._counts
+    integer = all(float(v).is_integer() for v in counts)
+    probe = counts[:_PROBE_VALUES]
+    if not integer and subset_sum_classes(probe)[0].size == 1 << len(probe):
+        return "lattice", blocks
+    # q falls as c grows (1 - c, each urn factor, and their rounding are
+    # monotone, and so are the float subset sums in their subset), so
+    # q(S) = 1 for some S exactly when it does for a single type, and the
+    # first such type is the lattice's first mask. For an urn this
+    # happens once N passes 2**53 and (N - c) / N rounds to 1
+    singles = model._count_avoidance(np.asarray(counts, dtype=np.float64))
+    if (stuck := np.flatnonzero(singles >= 1.0)).size:
+        _raise_stuck(1 << int(stuck[0]))
+    # bounded before the build, which would run out of memory instead:
+    # integer counts whose sums stay exact make at most N + 1 distinct
+    # sums, and no more than their sub-multisets
+    head = counts[:-1]
+    classes = 1 << len(head)
+    if integer and sum(head) < 2**53:
+        multisets = math.prod(k + 1 for k in Counter(head).values())
+        classes = min(int(sum(head)) + 1, multisets)
+    if classes > _MAX_CLASSES:
+        raise CapacityError(
+            f"the subset sums of {len(head)} weights make up to {classes} "
+            f"classes, above the class path's {_MAX_CLASSES} "
+            f"(2**{DEFAULT_EXACT_CAP - 1}); use the Monte Carlo oracle"
+        )
+    return "classes", None
 
 
 def _walk(blocks) -> tuple[int, list[float], int]:
@@ -185,21 +226,6 @@ def _walk(blocks) -> tuple[int, list[float], int]:
 def _lattice_span(model: GroupModel, lo: int, hi: int) -> tuple[int, list[float], int]:
     """``_walk`` of the lattice blocks lo .. hi-1: one span of ``_run_spans``."""
     return _walk(_lattice_blocks(model, lo, hi))
-
-
-def _sums_by_class(model: GroupModel) -> bool:
-    """Whether the model's sum runs over its distinct subset sums.
-
-    Integer counts have at most N + 1 sums and always do. Real weights do
-    when the subset sums of the first ``_PROBE_VALUES`` of them coincide.
-    """
-    if not isinstance(model, _CountLaw):
-        return False
-    values = model._counts
-    if all(float(v).is_integer() for v in values):
-        return True
-    head = values[:_PROBE_VALUES]
-    return subset_sum_classes(head)[0].size < 1 << len(head)
 
 
 def _widest(sizes: np.ndarray, q: np.ndarray, offset: int) -> int:
@@ -366,30 +392,7 @@ def _count_law_blocks(model: _CountLaw):
     merge and leaves at most twice the distinct sums.
     """
     counts = model._counts
-    # q falls as c grows (1 - c, each urn factor, and their rounding are
-    # monotone, and so are the float subset sums in their subset), so
-    # q(S) = 1 for some S exactly when it does for a single type, and the
-    # first such type is the lattice's first mask. For an urn this
-    # happens once N passes 2**53 and (N - c) / N rounds to 1
-    singles = model._count_avoidance(np.asarray(counts, dtype=np.float64))
-    stuck = np.flatnonzero(singles >= 1.0)
-    if stuck.size:
-        _raise_stuck(1 << int(stuck[0]))
-    # bounded before the build, which would run out of memory instead.
-    # Integer counts whose sums stay exact make at most N + 1 distinct
-    # sums, and no more than their sub-multisets
-    head = counts[:-1]
-    classes = 1 << len(head)
-    if all(float(v).is_integer() for v in head) and sum(head) < 2**53:
-        multisets = math.prod(k + 1 for k in Counter(head).values())
-        classes = min(int(sum(head)) + 1, multisets)
-    if classes > _MAX_CLASSES:
-        raise CapacityError(
-            f"the subset sums of {len(head)} weights make up to {classes} "
-            f"classes, above the class path's {_MAX_CLASSES} "
-            f"(2**{DEFAULT_EXACT_CAP - 1}); use the Monte Carlo oracle"
-        )
-    sums, signed, total, largest = subset_sum_classes(head)
+    sums, signed, total, largest = subset_sum_classes(counts[:-1])
     # without the last type c = 0 is only the empty set, not a term
     for shift, sign, first, added in ((0, -1.0, 1, 0), (counts[-1], 1.0, 0, 1)):
         for lo in range(first, sums.size, 1 << _BLOCK_BITS):

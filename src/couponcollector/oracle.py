@@ -31,12 +31,12 @@ from .models import (
     WithoutReplacement,
     _check_collectable,
     _integer,
+    _type_bits,
 )
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_MAX_DRAWS = 10_000_000
 CHAIN_STATE_CAP = 20
-SIM_TYPE_CAP = 64
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -209,15 +209,11 @@ def simulate_collection(
     trials, and only where no other Python thread runs and not on macOS;
     otherwise they run as one span.
     ``max_draws`` caps the groups one trial may draw (default
-    ``DEFAULT_MAX_DRAWS``, read at call time). A model with more than
-    ``SIM_TYPE_CAP`` types, or with a type that no group contains, fails at
-    once, before any draw.
+    ``DEFAULT_MAX_DRAWS``, read at call time). A model with more than 64
+    types (groups and collected sets are uint64 masks), or with a type
+    that no group contains, fails at once, before any draw.
     """
-    if model.m > SIM_TYPE_CAP:
-        raise CapacityError(
-            f"m={model.m} exceeds the simulator's cap of {SIM_TYPE_CAP} types "
-            f"(collected sets are 64-bit masks)"
-        )
+    _type_bits(model.m)
     _check_collectable(model)
     trials = _integer(trials, "trials")
     if trials < 1:

@@ -260,7 +260,7 @@ class TestSimulate:
         assert main(["simulate", "--model", path, "--trials", "5"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: m=70 exceeds the simulator's cap of 64")
+        assert captured.err.startswith("error: m=70 exceeds the 64 types")
 
     def test_json_fields(self, model_file, capsys):
         path = model_file({"model": "uniform_distinct", "g": 2, "m": 4})

@@ -186,6 +186,78 @@ class TestMasterSum:
             inclusion_exclusion_expectation(model)
 
 
+def _fail(*args):
+    raise AssertionError("built a table")
+
+
+class TestExactPath:
+    """``engine._exact_path`` checks every exact limit, in one order,
+    before any table is built; a model that fails two checks raises the
+    first."""
+
+    def test_exact_cap_must_be_an_integer(self):
+        model = UniformDistinct(5, 2)
+        for cap in (24.5, 4.5, "24", None):
+            with pytest.raises(InputError, match="exact_cap must be an integer"):
+                inclusion_exclusion_expectation(model, exact_cap=cap)
+            with pytest.raises(InputError, match="exact_cap must be an integer"):
+                sampling_expectation((3, 4, 5), 2, exact_cap=cap)
+            with pytest.raises(InputError, match="exact_cap must be an integer"):
+                single_arrival_expectation((0.5, 0.5), exact_cap=cap)
+        # an integral value of another type is its integer
+        assert inclusion_exclusion_expectation(model, exact_cap=5.0) == (
+            inclusion_exclusion_expectation(model, exact_cap=5)
+        )
+
+    def test_the_cap_comes_before_an_uncollectable_type(self):
+        model = IidWithinGroup((0.0,) + (0.1,) * 10, 2)
+        with pytest.raises(CapacityError, match="m=11 exceeds .* cap of 10 "):
+            inclusion_exclusion_expectation(model, exact_cap=10)
+
+    def test_an_uncollectable_type_comes_before_the_53_type_limit(self):
+        model = IidWithinGroup((1 / 53,) * 3 + (0.0,) + (1 / 53,) * 50, 2)
+        with pytest.raises(DivergenceError, match="type 3 never appears") as err:
+            inclusion_exclusion_expectation(model, exact_cap=60)
+        assert err.value.subset_mask == 1 << 3
+
+    def test_the_53_type_limit_comes_before_the_probe(self, monkeypatch):
+        p = np.random.default_rng(54).uniform(0.1, 1.0, size=54)
+        model = IidWithinGroup(tuple(p / p.sum()), 3)
+        monkeypatch.setattr(engine, "subset_sum_classes", _fail)
+        with pytest.raises(CapacityError, match="m=54 exceeds the 53-type limit"):
+            inclusion_exclusion_expectation(model, exact_cap=60)
+
+    def test_a_stuck_single_type_comes_before_the_class_bound(self, monkeypatch):
+        # 2**29 classes would pass the bound, but (N - 1) / N rounds to 1
+        counts = (10**17,) + tuple(2**k for k in range(29))
+        model = WithoutReplacement(Population(counts), 2)
+        monkeypatch.setattr(engine, "subset_sum_classes", _fail)
+        with pytest.raises(DivergenceError, match="jointly avoided") as err:
+            inclusion_exclusion_expectation(model, exact_cap=30)
+        assert err.value.subset_mask == 0b10
+
+    def test_bad_workers_come_before_the_group_law(self, monkeypatch):
+        model = DraftLottery((0.4, 0.3, 0.2, 0.1), 2)
+        monkeypatch.setattr(DraftLottery._group_law, "func", _fail)
+        with pytest.raises(InputError, match="workers"):
+            inclusion_exclusion_expectation(model, workers="3")
+
+    def test_the_class_bound_comes_before_a_wide_class_build(self, monkeypatch):
+        # counts / N share subset sums, so the probe picks the class path,
+        # and 24 real weights may make 2**24 classes
+        model = IidWithinGroup(_counts_over_total(np.random.default_rng(3), 25), 2)
+        widths = []
+        classes = engine.subset_sum_classes
+        monkeypatch.setattr(
+            engine,
+            "subset_sum_classes",
+            lambda values: widths.append(len(values)) or classes(values),
+        )
+        with pytest.raises(CapacityError, match="2\\*\\*23"):
+            inclusion_exclusion_expectation(model, exact_cap=25)
+        assert widths == [engine._PROBE_VALUES]
+
+
 def _lattice(model):
     """The 2**m - 1 subset terms built from ``avoidance_table()`` and the
     largest subset size with q > 0."""
@@ -406,7 +478,7 @@ def _lattice_model(kind: str, seed: int):
     if kind == "draft":
         return DraftLottery(tuple(p / p.sum()), g)
     model = IidWithinGroup(tuple(p / p.sum()), g)
-    assert not engine._sums_by_class(model)
+    assert engine._exact_path(model, m) == ("lattice", 1 << (m - 16))
     return model
 
 

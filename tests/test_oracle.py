@@ -210,7 +210,7 @@ class TestSimulation:
             raise AssertionError("drew a group or started a pool")
 
         monkeypatch.setattr(oracle, "_simulate_spans", no_draws)
-        with pytest.raises(CapacityError, match="m=70 exceeds the simulator's cap of 64"):
+        with pytest.raises(CapacityError, match="m=70 exceeds the 64 types"):
             simulate_collection(UniformDistinct(70, 2), trials=3, seed=0, workers=2)
 
     def test_64_types_simulate(self):
