@@ -42,11 +42,16 @@ reads q(S) from the model's ``avoidance_blocks``, 2**16 masks at a time,
 and its blocks may run in forked spans (``_spans._run_spans``); no path
 holds an array of 2**m entries. Both paths feed their exact pieces, block
 by block, into exact integer totals (``_exact_total``) that the caller
-adds and rounds once, so for every model, on either path and however the
-blocks were split, the value is the correctly rounded sum of the 2**m
-subset terms, ``math.fsum`` of them. The sum alternates and can cancel
-heavily, and every result carries a cancellation-ratio diagnostic;
-``terms_evaluated`` counts the 2**m - 1 subset terms either way.
+adds and rounds once. Such a total needs a bound on a block's |x| and the
+unit its x are multiples of; the class path scans its pieces for them,
+and the lattice walk reads them off q's order (``_lattice_blocks``), so
+besides building q(S) a lattice block takes 9 numpy passes where one
+level of the total ends it (a block of 2**16 terms below 2**21). For
+every model, on either path and however the blocks were split, the value
+is the correctly rounded sum of the 2**m subset terms, ``math.fsum`` of
+them. The sum alternates and can cancel heavily, and every result
+carries a cancellation-ratio diagnostic; ``terms_evaluated`` counts the
+2**m - 1 subset terms either way.
 """
 
 import math
@@ -208,15 +213,15 @@ def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int | None]:
 
 
 def _walk(blocks) -> tuple[int, list[float], int]:
-    """The exact total (``_exact_total``) of the pieces of (pieces, |terms|,
-    widest) blocks, the |term| sum of each block, and the widest size."""
+    """The exact total (``_exact_total``) of the pieces of (pieces, |term|
+    sum, widest) blocks, the |term| sum of each block, and the widest size."""
     abs_sums = []
     truncated_at = 0
 
     def pieces():
         nonlocal truncated_at
-        for block_pieces, magnitudes, widest in blocks:
-            abs_sums.append(float(magnitudes.sum()))
+        for block_pieces, abs_sum, widest in blocks:
+            abs_sums.append(abs_sum)
             truncated_at = max(truncated_at, widest)
             yield block_pieces
 
@@ -254,24 +259,32 @@ def _block_widest(low_sizes: np.ndarray, q: np.ndarray, high: int) -> int:
 
 
 def _lattice_blocks(model: GroupModel, lo: int = 0, hi: int | None = None):
-    """(terms, |terms|, largest |S| with q > 0) blocks of q(S), streamed
-    from ``avoidance_blocks``: blocks lo .. hi-1, all by default.
+    """((terms, top, -52), sum of |terms|, largest |S| with q > 0) blocks
+    of q(S), streamed from ``avoidance_blocks``: blocks lo .. hi-1, all by
+    default. The first element is an ``_exact_total`` block.
 
     Each block is computed in place in the array that ``avoidance_blocks``
-    yields, and the signed terms of every block go to one buffer, so a
-    block makes no float array of its size: on 2**16 masks each such
-    temporary costs more in page faults than its arithmetic.
+    yields, so a block makes no float array of its size: on 2**16 masks
+    each such temporary costs more in page faults than its arithmetic.
+    The bounds that ``_exact_total`` needs come without a scan. Every q is
+    in [0, 1), so every t = 1 / (1 - q) is at least 1, a multiple of
+    2**-52. q does not increase as S grows, so t does not either, and the
+    largest t of block h > 0 is that of its first mask, which every mask of
+    the block holds; block 0 skips the empty set, and its largest t is that
+    of a single type. A block then takes 4 passes here (1 - q, 1 / x, the
+    |t| sum and the sign) and 5 in ``_exact_total`` where one level ends
+    it.
     """
-    low = subset_sums(np.ones(min(model.m, _BLOCK_BITS)))  # |S| of each low mask
+    bits = min(model.m, _BLOCK_BITS)
+    low = subset_sums(np.ones(bits))  # |S| of each low mask
     signs = np.where(low % 2 == 1, 1.0, -1.0)
     # an aligned block's masks share their high bits, which flip signs
     flipped = -signs
-    terms = np.empty(low.size)
+    singles = 1 << np.arange(bits)
     for high, block in enumerate(model.avoidance_blocks(lo, hi), start=lo):
         first = 1 if high == 0 else 0  # mask 0 (q = 1) is not a term
         if high:
-            # q does not increase as S grows, and every mask of the block
-            # holds its first, so its first q is its largest
+            # the block's first q is its largest
             if block[0] >= 1.0:
                 _raise_stuck(high * low.size)
         elif (stuck := np.flatnonzero(block[1:] >= 1.0)).size:
@@ -280,10 +293,11 @@ def _lattice_blocks(model: GroupModel, lo: int = 0, hi: int | None = None):
         t = block[first:]
         np.subtract(1.0, t, out=t)
         np.divide(1.0, t, out=t)
+        top = float(block[singles].max() if first else block[0])
+        abs_sum = float(t.sum())
         sign = flipped if high.bit_count() % 2 else signs
-        signed = terms[: t.size]
-        np.multiply(sign[first:], t, out=signed)
-        yield signed, t, widest
+        np.multiply(sign[first:], t, out=t)
+        yield (t, top, -52), abs_sum, widest
 
 
 # the exact sum's fixed point, 2**-_UNIT_SHIFT: every level of
@@ -299,43 +313,59 @@ def _exact_sum(blocks) -> float:
     return _exact_total(blocks) / (1 << _UNIT_SHIFT)
 
 
+def _bounds(x: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """x as an ``_exact_total`` block, (x, top, u_exp): its largest |x|,
+    and the exponent of u, the ulp of its smallest nonzero |x|, from one
+    scan of |x|."""
+    magnitudes = np.abs(x)
+    if not x.size or (top := magnitudes.max()) == 0.0:
+        return x, 0.0, 0
+    low = magnitudes.min()
+    if low == 0.0:
+        low = magnitudes.min(where=magnitudes > 0.0, initial=top)
+    return x, top, max(math.frexp(low)[1] - 53, -1074)
+
+
 def _exact_total(blocks) -> int:
-    """The exact sum of the floats in ``blocks``, as ``_exact_sum`` takes
-    them, in units of 2**-_UNIT_SHIFT. Totals of any split of the blocks
-    add up to the total of them all.
+    """The exact sum of the floats in ``blocks``, in units of
+    2**-_UNIT_SHIFT. Totals of any split of the blocks add up to the total
+    of them all.
+
+    A block is an array, as ``_exact_sum`` takes them, which is not
+    modified, or a triple (x, top, u_exp) of such an array x, which is
+    overwritten, with top >= max|x| and every x a multiple of 2**u_exp. A
+    caller that knows these bounds saves the scan that ``_bounds`` makes
+    of an array (abs, max and min passes) and its copy.
 
     Each block of n floats is cut into levels by extraction (Rump, Ogita &
     Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
-    Comput. 31, 2008). A level takes sigma = 2**k with 2**k >= 2n * max|x|.
+    Comput. 31, 2008). A level takes sigma = 2**k with 2**k >= 2n * top.
     Then q = fl(fl(sigma + x) - sigma) is x rounded to a multiple of
     2**(k-53), and all n of them add up to at most 2**52 + n such
     multiples, so their float64 sum is exact. The remainder x - q is
     exact too (the rounding error of sigma + x), at most 2**(k-53), and
-    the next level, 53 - log2(2n) bits lower, takes it. Every x, and so
-    every remainder, is a multiple of u, the ulp of the smallest nonzero
-    |x|, so once the remainders add up to at most 2**53 * u in magnitude
-    their plain float64 sum is exact, and it ends the block: one scan of
-    |x| for its largest and smallest entry fixes every level. Where 2**k
-    would overflow (max|x| above about 2**1023 / 2n), levels that
-    truncate x to multiples of 2**s, each integer below 2**52 / n, first
-    take the top bits. The level sums are gathered in one Python int; one
-    correctly rounded int division (``_exact_sum``) scales it back.
+    the next level, 53 - log2(2n) bits lower, takes it, in place of x.
+    Every x, and so every remainder, is a multiple of u = 2**u_exp, so once
+    the remainders add up to at most 2**53 * u in magnitude their plain
+    float64 sum is exact, and it ends the block: top and u fix every
+    level. Where 2**k would overflow (top above about 2**1023 / 2n), levels
+    that truncate x to multiples of 2**s, each integer below 2**52 / n,
+    first take the top bits. The level sums are gathered in one Python
+    int; one correctly rounded int division (``_exact_sum``) scales it
+    back.
     """
     total = 0  # in units of 2**-_UNIT_SHIFT
-    rest = level = np.empty(0)
+    level = np.empty(0)
     for block in blocks:
-        n = block.size
-        if n > rest.size:
-            rest, level = np.empty(n), np.empty(n)
-        x, y = block, level[:n]
-        # the first level reads the block, each later one the remainders
-        magnitudes = np.abs(x, out=y)
-        if not n or (top := magnitudes.max()) == 0.0:
+        if isinstance(block, np.ndarray):
+            block = _bounds(block.copy())
+        x, top, u_exp = block
+        n = x.size
+        if not n or top == 0.0:
             continue
-        low = magnitudes.min()
-        if low == 0.0:
-            low = magnitudes.min(where=magnitudes > 0.0, initial=top)
-        u_exp = max(math.frexp(low)[1] - 53, -1074)  # u = 2**u_exp
+        if n > level.size:
+            level = np.empty(n)
+        y = level[:n]
         spread = (2 * n - 1).bit_length()  # 2n <= 2**spread
         e = math.frexp(top)[1]  # every |x| < 2**e
         while e + spread > 1023:
@@ -344,14 +374,14 @@ def _exact_total(blocks) -> int:
             np.trunc(y, out=y)
             total += int(y.sum()) << (s + _UNIT_SHIFT)
             np.ldexp(y, s, out=y)
-            x = np.subtract(x, y, out=rest[:n])
+            np.subtract(x, y, out=x)
             e = s
         k = e + spread  # every |x| <= 2**(k - spread)
         while k - 54 > u_exp:
             sigma = math.ldexp(1.0, k)
             q = np.subtract(np.add(x, sigma, out=y), sigma, out=y)
             total += int(math.ldexp(float(q.sum()), 53 - k)) << (k - 53 + _UNIT_SHIFT)
-            x = np.subtract(x, q, out=rest[:n])
+            np.subtract(x, q, out=x)
             k -= 53 - spread
         # the |x| add up to at most 2**(k-1) <= 2**53 * u: the sum is exact
         total += int(math.ldexp(float(x.sum()), -u_exp)) << (u_exp + _UNIT_SHIFT)
@@ -381,8 +411,8 @@ def _exact_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _count_law_blocks(model: _CountLaw):
-    """(pieces, |terms|, largest |S| with q > 0) blocks of the sum over
-    the distinct subset sums c.
+    """(pieces, sum of |terms|, largest |S| with q > 0) blocks of the sum
+    over the distinct subset sums c; the pieces are ``_bounds`` blocks.
 
     a_c and b_c are the signed and unsigned numbers of subsets with sum c,
     so -sum a_c * t_c is the value and sum b_c * t_c the sum of |term|.
@@ -400,7 +430,8 @@ def _count_law_blocks(model: _CountLaw):
             q = model._count_avoidance(sums[block] + shift)
             t = 1.0 / (1.0 - q)
             widest = _widest(largest[block], q, added)
-            yield _exact_products(sign * signed[block], t), total[block] * t, widest
+            pieces = _exact_products(sign * signed[block], t)
+            yield _bounds(pieces), float((total[block] * t).sum()), widest
 
 
 def uniform_single_expectation(m: int) -> float:

@@ -55,9 +55,10 @@ DRAFT_MAX_GROUP_SIZE = 8
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; unlike int(), it rejects a value it would change."""
+    """``value`` as an int; unlike int(), it rejects a boolean and a value
+    it would change."""
     try:
-        number = int(value)
+        number = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value:
@@ -438,7 +439,11 @@ class _ExplicitLaw(GroupModel):
             else:
                 laid = np.zeros(1 << bits)
             block = subset_zeta(laid)
-            np.clip(block, 0.0, 1.0, out=block)
+            # the weights are nonnegative and q does not increase as S
+            # grows, so the row's total, block[0], is the block's largest q,
+            # and only a total rounded above 1 needs clipping
+            if block[0] > 1.0:
+                np.minimum(block, 1.0, out=block)
             if high == 0:
                 block[0] = 1.0  # every group avoids the empty set
             yield block

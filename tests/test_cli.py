@@ -156,6 +156,8 @@ class TestExitCodes:
             },
             {"model": "without_replacement", "g": 2, "counts": [1.5, 2]},
             {"model": "without_replacement", "g": 2.7, "counts": [1, 2]},
+            {"model": "uniform_distinct", "g": True, "m": 3},
+            {"model": "without_replacement", "g": 1, "counts": [True, 2]},
             {"model": "iid_within_group", "g": 2, "p": ["0.5", "0.5"]},
             {"model": "iid_within_group", "g": 2, "p": [True, False]},
             {"model": "weighted_distinct", "g": 1, "q": [0.5, None, 0.5]},

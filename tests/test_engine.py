@@ -197,7 +197,7 @@ class TestExactPath:
 
     def test_exact_cap_must_be_an_integer(self):
         model = UniformDistinct(5, 2)
-        for cap in (24.5, 4.5, "24", None):
+        for cap in (24.5, 4.5, "24", None, True, np.bool_(True)):
             with pytest.raises(InputError, match="exact_cap must be an integer"):
                 inclusion_exclusion_expectation(model, exact_cap=cap)
             with pytest.raises(InputError, match="exact_cap must be an integer"):
@@ -654,6 +654,92 @@ class TestLatticeStreaming:
         assert peak < (8 << m) // 4
 
 
+def _pinned_model(kind: str, m: int):
+    """A ``WeightedDistinct`` (g = 2), ``DraftLottery`` (g = 3) or
+    generic-p ``IidWithinGroup`` (g = 3) of m types, drawn at seed m."""
+    rng = np.random.default_rng(m)
+    p = rng.uniform(0.1, 1.0, size=m)
+    p = tuple(p / p.sum())
+    if kind == "weighted":
+        w = rng.uniform(0.1, 1.0, size=math.comb(m, 2))
+        return WeightedDistinct(m, 2, tuple(w / w.sum()))
+    if kind == "draft":
+        return DraftLottery(p, 3)
+    return IidWithinGroup(p, 3)
+
+
+class TestLatticeBits:
+    """The lattice walk's output, pinned as ``float.hex`` so that a change
+    of its arithmetic shows: m = 12 is block 0 alone, m = 18 four blocks."""
+
+    @pytest.mark.parametrize(
+        "kind, m, value, ratio, widest",
+        [
+            ("weighted", 12, "0x1.26c75ad646bd5p+4", "0x1.3980d9fcc21a1p+8", 10),
+            ("weighted", 18, "0x1.fcf1f69668283p+4", "0x1.62b95d277c9cep+13", 16),
+            ("draft", 12, "0x1.733758ccf7630p+4", "0x1.a60e412531c49p+7", 9),
+            ("draft", 18, "0x1.4e2929e38d06bp+5", "0x1.c8afd304455f2p+12", 15),
+            ("iid", 12, "0x1.a6f0de551f943p+4", "0x1.897e4434f5fe9p+7", 11),
+            ("iid", 18, "0x1.670e18032b937p+5", "0x1.b6c0e3a0d159ap+12", 17),
+        ],
+    )
+    def test_pinned_results(self, kind, m, value, ratio, widest):
+        model = _pinned_model(kind, m)
+        assert engine._exact_path(model, m)[0] == "lattice"
+        result = inclusion_exclusion_expectation(model, exact_cap=m)
+        assert result.value.hex() == value
+        assert result.cancellation_ratio.hex() == ratio
+        assert result.truncated_at == widest
+
+
+class TestFreeBounds:
+    """``_lattice_blocks`` hands ``_exact_total`` bounds it reads off q's
+    order instead of scanning each block."""
+
+    @staticmethod
+    def _check_bounds(model):
+        for (terms, top, u_exp), abs_sum, _ in engine._lattice_blocks(model):
+            magnitudes = np.abs(terms)
+            assert top == magnitudes.max()
+            assert magnitudes.min() >= 1.0
+            assert u_exp == -52
+            units = np.ldexp(terms, -u_exp)
+            assert (units == np.trunc(units)).all()
+            assert abs_sum == float(magnitudes.sum())
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", _LATTICE_KINDS)
+    def test_top_is_the_largest_term(self, kind, seed):
+        self._check_bounds(_lattice_model(kind, 10 * seed + _LATTICE_KINDS.index(kind)))
+
+    @pytest.mark.parametrize("kind", _LATTICE_KINDS)
+    def test_top_is_the_largest_term_of_block_0(self, kind):
+        self._check_bounds(_pinned_model(kind, 12))
+
+    def test_a_total_rounded_above_1_is_clipped(self, monkeypatch):
+        # the last type's only group has weight 2**-60, so q({11}) is the
+        # total of the others; at this seed the normalized weights add up
+        # to 1 + 2**-52 in the zeta's order, at mask 0 and at mask 2**11
+        w = np.random.default_rng(1).uniform(0.1, 1.0, size=12)
+        w[-1] = 2.0**-60
+        model = WeightedDistinct(12, 1, tuple(w / w.sum()))
+        got = list(model.avoidance_blocks())
+        rows, zeta = [], models.subset_zeta
+
+        def clipped(laid):
+            block = zeta(laid)
+            rows.append(block.copy())
+            return np.clip(block, 0.0, 1.0, out=block)
+
+        monkeypatch.setattr(models, "subset_zeta", clipped)
+        want = list(model.avoidance_blocks())
+        assert rows[0][0] > 1.0 and rows[0][1 << 11] > 1.0
+        assert [block.tobytes() for block in got] == [block.tobytes() for block in want]
+        with pytest.raises(DivergenceError) as err:
+            inclusion_exclusion_expectation(model)
+        assert err.value.subset_mask == 1 << 11
+
+
 class TestWidest:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_positive_blocks_give_the_masked_max(self, seed):
@@ -769,7 +855,7 @@ class TestForkedLattice:
 
     def test_workers_are_validated(self):
         model = DraftLottery((0.4, 0.3, 0.2, 0.1), 2)
-        for workers in (2.7, "3"):  # not 2 or 3 workers
+        for workers in (2.7, "3", True):  # not 2, 3 or 1 workers
             with pytest.raises(InputError, match="workers"):
                 inclusion_exclusion_expectation(model, workers=workers)
         # fewer than one worker means one
@@ -843,6 +929,9 @@ class TestFirstOccurrence:
             first_occurrence_expectation(UniformDistinct(3, 2), 3)
         with pytest.raises(InputError, match="type index"):
             first_occurrence_expectation(UniformDistinct(3, 2), 1.5)  # not type 1
+        for index in (True, np.bool_(False)):  # not type 1 or 0
+            with pytest.raises(InputError, match="type index"):
+                first_occurrence_expectation(UniformDistinct(3, 2), index)
 
     def test_divergent_type(self):
         with pytest.raises(DivergenceError):

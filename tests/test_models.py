@@ -47,6 +47,9 @@ class TestPopulation:
     def test_rejects_fractional_counts(self):
         with pytest.raises(InputError, match="integer"):
             Population((1.5, 2))
+        for count in (True, np.bool_(True)):  # not a count of 1
+            with pytest.raises(InputError, match="a count must be an integer"):
+                Population((3, count))
         assert Population((3.0, np.int64(2))).counts == (3, 2)
 
 
@@ -72,6 +75,14 @@ class TestValidation:
             lambda: population_from_weights((0.5, 0.5), 10.5),
             lambda: uniform_group_expectation(5, 2.7),
             lambda: uniform_single_expectation(2.5),
+            # True is not g = 1 or m = 1
+            lambda: UniformDistinct(3, True),
+            lambda: UniformDistinct(np.int64(3), np.bool_(True)),
+            lambda: UniformDistinct(True, 1),
+            lambda: WeightedDistinct(3, True, (0.5, 0.25, 0.25)),
+            lambda: IidWithinGroup((0.5, 0.5), np.bool_(True)),
+            lambda: WithoutReplacement(Population((1, 2)), True),
+            lambda: DraftLottery((0.5, 0.25, 0.25), True),
         ):
             with pytest.raises(InputError, match="integer"):
                 build()
@@ -122,7 +133,7 @@ class TestValidation:
         # explicit law alike
         laws = (UniformDistinct(4, 2), WeightedDistinct(3, 1, (0.5, 0.25, 0.25)))
         for model in laws:
-            for mask in (2.7, "3"):
+            for mask in (2.7, "3", True, np.bool_(True)):
                 with pytest.raises(InputError, match="integer"):
                     model.avoidance_probability(mask)
             assert model.avoidance_probability(np.int64(2)) == model.avoidance_probability(2)

@@ -223,14 +223,17 @@ class TestSimulation:
             simulate_collection(model, trials=0)
         with pytest.raises(InputError, match="trials"):
             simulate_collection(model, trials=2.7, seed=1)  # not 2 trials
+        for trials in (True, np.bool_(True)):  # not 1 trial
+            with pytest.raises(InputError, match="trials"):
+                simulate_collection(model, trials=trials, seed=1)
         with pytest.raises(InputError):
             simulate_collection(model, trials=10, seed=-1)
         with pytest.raises(InputError):
             simulate_collection(model, trials=10, seed=1 << 64)
-        for seed in (2.7, "3"):  # not seed 2 or 3
+        for seed in (2.7, "3", False, np.bool_(True)):  # not seed 2, 3, 0 or 1
             with pytest.raises(InputError, match="seed"):
                 simulate_collection(model, trials=10, seed=seed)
-        for workers in (2.7, "3"):  # not 2 or 3 workers
+        for workers in (2.7, "3", True):  # not 2, 3 or 1 workers
             with pytest.raises(InputError, match="workers"):
                 simulate_collection(model, trials=10, seed=1, workers=workers)
         # fewer than one worker means one
