@@ -117,13 +117,24 @@ def subset_sum_classes(
     return sums, signed, total, largest
 
 
+# ``subset_zeta`` takes the bits in chunks of this many, each at the top
+# of its layout; see there
+_ZETA_CHUNK_BITS = 8
+
+# numpy's ufunc buffer, in elements, while ``subset_zeta`` runs its passes.
+# numpy 2.4 buffers a 2-D pass whose inner runs are shorter than half its
+# default buffer of 8192 elements: on runs of 2048 floats a pass took 43 us
+# at the default and 12 us at 256
+_ZETA_BUFSIZE = 256
+
+
 def zeta_layout(masks: np.ndarray, m: int) -> np.ndarray:
     """The position in ``subset_zeta``'s input of each of the masks, of m
     bits: the mask order reversed, which complements each mask, with the
-    low chunk of k = min(4, m) bits moved to the top. The complement c
+    low chunk of k = min(8, m) bits moved to the top. The complement c
     goes to (c mod 2**k) * 2**(m-k) + c // 2**k.
     """
-    k = min(4, m)
+    k = min(_ZETA_CHUNK_BITS, m)
     c = ((1 << m) - 1) - masks
     return ((c & ((1 << k) - 1)) << (m - k)) | (c >> k)
 
@@ -138,14 +149,16 @@ def subset_zeta(laid: np.ndarray) -> np.ndarray:
     reversed, since reversing an array of 2**m entries complements each
     index; every entry gets the same additions in the same order, so the
     floats are the same. Read reversed, each pass is a superset sum. The
-    bits go in chunks of up to 4 from the bottom, each at the top of the
-    layout, where its passes add runs of at least 2**(m-4) floats (numpy
-    adds short runs several times slower per float): a transposing copy
-    moves each later chunk there, and after the last chunk the layout is
-    back in mask order. The first chunk is already there in the input's
-    layout, which is what that copy would make of the reversed row, so a
-    row built straight into it (by ``np.bincount`` at ``zeta_layout``)
-    saves one copy of the four at m = 16.
+    bits go in chunks of up to 8 from the bottom, each at the top of the
+    layout, where its passes add runs of at least 2**(m-8) floats: a
+    transposing copy moves each later chunk there, and after the last
+    chunk the layout is back in mask order. The first chunk is already
+    there in the input's layout, which is what that copy would make of the
+    reversed row, so a row built straight into it (by ``np.bincount`` at
+    ``zeta_layout``) takes one copy at m = 16, where chunks of 4 took
+    three. The passes run under a ufunc buffer of ``_ZETA_BUFSIZE``
+    elements, so that numpy adds runs as short as 2**8 floats in place,
+    unbuffered; the caller's buffer size is restored on return.
 
     ``laid`` must be a contiguous float64 array of length 2**m. The result
     is a new contiguous array or ``laid`` itself, which serves as one of
@@ -156,13 +169,17 @@ def subset_zeta(laid: np.ndarray) -> np.ndarray:
     if 1 << m != n:
         raise ValueError("length must be a power of two")
     src, buffers = laid, (laid, np.empty(n))
-    for i, low in enumerate(range(0, m, 4)):
-        k = min(4, m - low)
-        out = buffers[i % 2]
-        if i:
-            np.copyto(out.reshape(1 << k, -1), src.reshape(-1, 1 << k).T)
-        for j in range(k):
-            chunk = out.reshape(1 << (k - 1 - j), 2, -1)
-            chunk[:, 0, :] += chunk[:, 1, :]
-        src = out
+    bufsize = np.setbufsize(_ZETA_BUFSIZE)
+    try:
+        for i, low in enumerate(range(0, m, _ZETA_CHUNK_BITS)):
+            k = min(_ZETA_CHUNK_BITS, m - low)
+            out = buffers[i % 2]
+            if i:
+                np.copyto(out.reshape(1 << k, -1), src.reshape(-1, 1 << k).T)
+            for j in range(k):
+                chunk = out.reshape(1 << (k - 1 - j), 2, -1)
+                chunk[:, 0, :] += chunk[:, 1, :]
+            src = out
+    finally:
+        np.setbufsize(bufsize)
     return src

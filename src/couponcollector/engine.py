@@ -38,20 +38,22 @@ with sum c (for counts, the coefficient of x**c in prod(1 - x**n_i)).
 The sums are the very floats of the 2**m lattice, so a_c * t_c is the
 exact total of that class's subset terms; each product is split into
 floats that sum to it exactly, in O(classes) memory. The lattice walk
-reads q(S) from the model's ``avoidance_blocks``, 2**16 masks at a time,
-and its blocks may run in forked spans (``_spans._run_spans``); no path
-holds an array of 2**m entries. Both paths feed their exact pieces, block
-by block, into exact integer totals (``_exact_total``) that the caller
-adds and rounds once. Such a total needs a bound on a block's |x| and the
-unit its x are multiples of; the class path scans its pieces for them,
-and the lattice walk reads them off q's order (``_lattice_blocks``), so
-besides building q(S) a lattice block takes 9 numpy passes where one
-level of the total ends it (a block of 2**16 terms below 2**21). For
-every model, on either path and however the blocks were split, the value
-is the correctly rounded sum of the 2**m subset terms, ``math.fsum`` of
-them. The sum alternates and can cancel heavily, and every result
-carries a cancellation-ratio diagnostic; ``terms_evaluated`` counts the
-2**m - 1 subset terms either way.
+reads q(S) from the model's ``avoidance_blocks``, 2**16 masks at a time
+(an explicit law's block is one ``_bits.subset_zeta``: two chunks of 8
+bits, one transposing copy between them, passes under a ufunc buffer of
+256 elements), and its blocks may run in spans in forked children
+(``_spans._run_spans``); no path holds an array of 2**m entries. Both
+paths feed their exact pieces, block by block, into exact integer totals
+(``_exact_total``) that the caller adds and rounds once. Such a total
+needs a bound on a block's |x| and the unit its x are multiples of; the
+class path scans its pieces for them, and the lattice walk reads them off
+q's order (``_lattice_blocks``), so besides building q(S) a lattice block
+takes 9 numpy passes where one level of the total ends it (a block of
+2**16 terms below 2**21). For every model, on either path and however
+the blocks were split, the value is the correctly rounded sum of the 2**m
+subset terms, ``math.fsum`` of them. The sum alternates and can cancel
+heavily, and every result carries a cancellation-ratio diagnostic;
+``terms_evaluated`` counts the 2**m - 1 subset terms either way.
 """
 
 import math
@@ -93,13 +95,13 @@ _MAX_CLASSES = 1 << (DEFAULT_EXACT_CAP - 1)
 
 # Each span of a forked lattice walk gets at least this many blocks of 2**16
 # masks (see ``_spans._run_spans``). Measured with two workers on a 2-core
-# machine (medians of 9-15 calls, one span against two, in five sittings):
-# a pool of one forked child costs about 6 ms to start and 3 ms to stop,
-# and a block 1.3-1.7 ms. WeightedDistinct(m, 2), DraftLottery(p, 3) and a
-# generic-p IidWithinGroup(p, 3) lose at 8 blocks per span (m = 20:
-# 1.06-1.87x the one-span time), about break even at 16 (m = 21:
-# 0.76-1.04x, once 1.63x) and gain at 32 (m = 22: 0.66-0.96x). The spread
-# is the second vCPU's: at times two busy processes each ran at half speed.
+# machine (medians of 15 alternating calls, one span against two, in three
+# sittings): a forked child costs about 2.7 ms against the caller's one span
+# of trivial work, and a block about 0.7-1.0 ms. WeightedDistinct(m, 2),
+# DraftLottery(p, 3) and a generic-p IidWithinGroup(p, 3) take 0.89-1.59x
+# the one-span time at 8 blocks per span (m = 20), 0.71-1.37x at 16
+# (m = 21) and 0.65-0.66x at 32 (m = 22). The spread is the second vCPU's:
+# at times two busy processes each ran at half speed.
 _PROCESS_MIN_BLOCKS = 16
 
 
@@ -306,13 +308,6 @@ def _lattice_blocks(model: GroupModel, lo: int = 0, hi: int | None = None):
 _UNIT_SHIFT = 1200
 
 
-def _exact_sum(blocks) -> float:
-    """The correctly rounded sum of the floats in ``blocks`` (arrays of
-    finite float64, each of fewer than 2**26), equal to ``math.fsum`` of
-    them all. The blocks are not modified."""
-    return _exact_total(blocks) / (1 << _UNIT_SHIFT)
-
-
 def _bounds(x: np.ndarray) -> tuple[np.ndarray, float, int]:
     """x as an ``_exact_total`` block, (x, top, u_exp): its largest |x|,
     and the exponent of u, the ulp of its smallest nonzero |x|, from one
@@ -331,11 +326,10 @@ def _exact_total(blocks) -> int:
     2**-_UNIT_SHIFT. Totals of any split of the blocks add up to the total
     of them all.
 
-    A block is an array, as ``_exact_sum`` takes them, which is not
-    modified, or a triple (x, top, u_exp) of such an array x, which is
-    overwritten, with top >= max|x| and every x a multiple of 2**u_exp. A
-    caller that knows these bounds saves the scan that ``_bounds`` makes
-    of an array (abs, max and min passes) and its copy.
+    A block is a triple (x, top, u_exp) of an array x of fewer than 2**26
+    finite float64, which is overwritten, with top >= max|x| and every x
+    a multiple of 2**u_exp. A caller that knows these bounds saves the
+    scan that ``_bounds`` makes of an array (abs, max and min passes).
 
     Each block of n floats is cut into levels by extraction (Rump, Ogita &
     Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
@@ -351,15 +345,12 @@ def _exact_total(blocks) -> int:
     level. Where 2**k would overflow (top above about 2**1023 / 2n), levels
     that truncate x to multiples of 2**s, each integer below 2**52 / n,
     first take the top bits. The level sums are gathered in one Python
-    int; one correctly rounded int division (``_exact_sum``) scales it
-    back.
+    int; one correctly rounded int division by 2**_UNIT_SHIFT scales it
+    back, to ``math.fsum`` of all the floats.
     """
     total = 0  # in units of 2**-_UNIT_SHIFT
     level = np.empty(0)
-    for block in blocks:
-        if isinstance(block, np.ndarray):
-            block = _bounds(block.copy())
-        x, top, u_exp = block
+    for x, top, u_exp in blocks:
         n = x.size
         if not n or top == 0.0:
             continue

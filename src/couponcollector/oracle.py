@@ -92,14 +92,14 @@ _PASS_DRAWS = 32
 
 # Each span of a forked simulation gets at least this many trials (see
 # ``_run_spans``). Measured with two workers on a 2-core machine (medians of
-# 11 calls, one span against two, the caller running one of them): a pool
-# of one forked child costs about 6 ms to start and 3 ms to stop.
-# weighted_distinct at m=12, g=3, the cheapest trials (about 12 one-uniform
-# draws, 5.5 us a trial), loses at 2000 trials per span (31 against 22 ms),
-# breaks even at 3000 (31 against 30 ms) and gains at 4000 (35 against
-# 40 ms); without_replacement on counts (10, 100, 500, 1000), g=2, gains
-# from 2000 (45 against 53 ms). The traced two-worker simulation of 4000
-# trials in ``perfbench/tests`` expects one span, so this stays above 2000.
+# 11 alternating calls, one span against two, the caller running one of
+# them): a forked child costs about 2.7 ms against the caller's one span of
+# trivial work. weighted_distinct at m=12, g=3, the cheapest trials (about
+# 12 one-uniform draws, 5.5 us a trial), loses at 2000 trials per span
+# (13.4 against 10.6 ms) and gains at 3000 (18.7 against 26.0 ms);
+# without_replacement on counts (10, 100, 500, 1000), g=2, gains from 1000
+# (16 against 23 ms). The traced two-worker simulation of 4000 trials in
+# ``perfbench/tests`` expects one span, so this stays above 2000.
 _PROCESS_MIN_TRIALS = 3000
 
 # The chain solves a level's states in chunks of about this many (state,

@@ -1,7 +1,6 @@
 """Shared helpers: a seeded generator of valid, collectable random models,
-and recorders of the span runner's spans and process pools."""
+and recorders of the span runner's spans and forked children."""
 
-import concurrent.futures
 import math
 
 import numpy as np
@@ -51,67 +50,69 @@ def random_model(rng: np.random.Generator, max_m: int = 10, max_g: int = 4):
     return DraftLottery(tuple(p / p.sum()), g)
 
 
-def record_pools(monkeypatch, cpus: int) -> list:
-    """Make the span runner and the CLI see ``cpus`` usable CPUs, and build
-    stub process pools that run their initializer at once and each span at
-    submit, and fork nothing; the returned list collects the max_workers of
-    each pool made."""
+def stub_forks(monkeypatch, cpus: int) -> list:
+    """Make the span runner and the CLI see ``cpus`` usable CPUs, and
+    replace its forked children with stubs that run their span at once, in
+    the caller, and fork nothing; the returned list collects the number of
+    children of each call that forks."""
     made = []
 
     class Inline:
-        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
-            made.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            # a failed span raises at its result, as in a real pool
-            future = concurrent.futures.Future()
+        def __init__(self, span, model, lo, hi, args):
+            # a failed span raises at its result, as a forked child's does
             try:
-                future.set_result(fn(*args))
+                self.outcome = True, span(model, lo, hi, *args)
             except Exception as exc:
-                future.set_exception(exc)
-            return future
+                self.outcome = False, exc
+
+        def result(self):
+            ok, value = self.outcome
+            if not ok:
+                raise value
+            return value
+
+        def end(self):
+            pass
+
+    def fork_spans(span, model, bounds, args):
+        made.append(len(bounds) - 2)
+        spans = zip(bounds[1:-1], bounds[2:])
+        return [Inline(span, model, lo, hi, args) for lo, hi in spans]
 
     monkeypatch.setattr(_spans, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(_spans, "_fork_spans", fork_spans)
     return made
 
 
-def fork_pools(monkeypatch, cpus: int) -> list:
+def spy_forks(monkeypatch, cpus: int) -> list:
     """Make the span runner and the CLI see ``cpus`` usable CPUs; the
-    returned list collects the max_workers of each real, forking process
-    pool made."""
+    returned list collects the number of children that each call which
+    forks really forks."""
     made = []
-    make = concurrent.futures.ProcessPoolExecutor
+    fork = _spans._fork_spans
 
-    def spy(max_workers, **kwargs):
-        made.append(max_workers)
-        return make(max_workers, **kwargs)
+    def spy(span, model, bounds, args):
+        children = fork(span, model, bounds, args)
+        made.append(len(children))
+        return children
 
     monkeypatch.setattr(_spans, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(_spans, "_fork_spans", spy)
     return made
 
 
 def record_spans(monkeypatch, cpus: int) -> tuple[list, list]:
-    """``record_pools``, with a ``_simulate_range`` that draws nothing;
-    returns the lists that collect the length of each span and the
-    max_workers of each pool made."""
+    """``stub_forks``, with a ``_simulate_range`` that draws nothing;
+    returns the lists that collect the length of each span and the number
+    of children of each call that forks."""
     spans = []
 
     def fake_range(model, lo, hi, seed, max_draws):
         spans.append(hi - lo)
         return np.full(hi - lo, 7, dtype=np.int64)
 
-    made = record_pools(monkeypatch, cpus)
+    made = stub_forks(monkeypatch, cpus)
     monkeypatch.setattr(oracle, "_simulate_range", fake_range)
     return spans, made

@@ -95,7 +95,8 @@ def _zeta_bit_by_bit(values):
 def test_subset_zeta_is_the_bit_by_bit_loop(m):
     # sparse rows of mixed magnitudes, like the explicit laws' rows: each
     # sum over a chunk's cube rounds differently if its passes change
-    # order. m covers chunk remainders of 1-3 bits and m = 16, 17
+    # order. m covers one chunk of up to 8 bits, chunk remainders of 1-7
+    # bits (m = 9..15 and 17) and two whole chunks (m = 16)
     rng = np.random.default_rng(m)
     for _ in range(5):
         values = rng.uniform(0.0, 1.0, size=1 << m) * 2.0 ** rng.integers(-20, 1, 1 << m)
@@ -116,6 +117,28 @@ def test_subset_zeta_is_the_bit_by_bit_loop(m):
 def test_subset_zeta_rejects_bad_length():
     with pytest.raises(ValueError):
         subset_zeta(np.zeros(3))
+
+
+@pytest.mark.parametrize("size", [None, 1024], ids=["default", "caller's"])
+def test_subset_zeta_restores_the_ufunc_buffer_size(size):
+    # the passes run under a small buffer of their own; the caller's size,
+    # numpy's default or one it set, is back after a result, after the
+    # bad-length error and after an error in the passes
+    before = np.getbufsize() if size is None else np.setbufsize(size)
+    try:
+        want = np.getbufsize()
+        subset_zeta(np.ones(1 << 12))
+        assert np.getbufsize() == want
+        with pytest.raises(ValueError, match="power of two"):
+            subset_zeta(np.zeros(3))
+        assert np.getbufsize() == want
+        frozen = np.ones(1 << 12)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            subset_zeta(frozen)
+        assert np.getbufsize() == want
+    finally:
+        np.setbufsize(before)
 
 
 def test_mask_of_combinations_are_lexicographic():

@@ -9,7 +9,7 @@ import pytest
 
 import couponcollector
 import couponcollector.engine as engine
-from conftest import fork_pools, record_pools, record_spans
+from conftest import record_spans, spy_forks, stub_forks
 from couponcollector.cli import main
 
 PAPER_MODEL = {"model": "without_replacement", "g": 2, "counts": [10, 100, 500, 1000]}
@@ -79,7 +79,7 @@ class TestExact:
 
         monkeypatch.setenv("COUPONCOLLECTOR_WORKERS", "1")
         want = outputs()
-        made = (fork_pools if fork else record_pools)(monkeypatch, 3)
+        made = (spy_forks if fork else stub_forks)(monkeypatch, 3)
         monkeypatch.setattr(engine, "_PROCESS_MIN_BLOCKS", 1)
         monkeypatch.delenv("COUPONCOLLECTOR_WORKERS")
         assert outputs() == want

@@ -25,7 +25,7 @@ from couponcollector import (
     simulate_collection,
 )
 from couponcollector._bits import types_of
-from conftest import fork_pools, random_model, record_pools, record_spans
+from conftest import random_model, record_spans, spy_forks, stub_forks
 
 
 def _state_loop_chain(model) -> np.ndarray:
@@ -207,7 +207,7 @@ class TestSimulation:
 
     def test_more_than_64_types_fail_before_any_draw(self, monkeypatch):
         def no_draws(*args):
-            raise AssertionError("drew a group or started a pool")
+            raise AssertionError("drew a group or forked a span")
 
         monkeypatch.setattr(oracle, "_simulate_spans", no_draws)
         with pytest.raises(CapacityError, match="m=70 exceeds the 64 types"):
@@ -452,9 +452,9 @@ FIVE_MODELS = [
 
 def _forked_spans(monkeypatch) -> list:
     """Fork processes for spans of two or more trials on two usable CPUs; the
-    returned list collects the max_workers of each process pool made."""
+    returned list collects the children forked per call."""
     monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 2)
-    return fork_pools(monkeypatch, 2)
+    return spy_forks(monkeypatch, 2)
 
 
 class _Unpicklable(WeightedDistinct):
@@ -507,7 +507,7 @@ class TestWorkerPools:
     def test_pool_size_is_capped_at_the_usable_cpus(self, monkeypatch, forked):
         model = UniformDistinct(5, 3)
         want = _reference_draws(model, 4, self.TRIALS)
-        made = record_pools(monkeypatch, 3)
+        made = stub_forks(monkeypatch, 3)
         if forked:
             monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 1)
         got = oracle._simulate_spans(model, self.TRIALS, 4, 10_000, 10**6)
