@@ -44,14 +44,15 @@ bits, one transposing copy between them, passes under a ufunc buffer of
 256 elements), and its blocks may run in spans in forked children
 (``_spans._run_spans``); no path holds an array of 2**m entries. Both
 paths feed their exact pieces, block by block, into exact integer totals
-(``_exact_total``) that the caller adds and rounds once. Such a total
-needs a bound on a block's |x| and the unit its x are multiples of; the
-class path scans its pieces for them, and the lattice walk reads them off
-q's order (``_lattice_blocks``), so besides building q(S) a lattice block
-takes 9 numpy passes where one level of the total ends it (a block of
-2**16 terms below 2**21). For every model, on either path and however
-the blocks were split, the value is the correctly rounded sum of the 2**m
-subset terms, ``math.fsum`` of them. The sum alternates and can cancel
+in units of 2**-52 (``_exact_total``) that the caller adds and rounds
+once: every lattice term, and every piece of a class term, is a multiple
+of 2**-52 below 2**106. Such a total needs a bound on a block's |x|, and
+both walks read it off q's order (``_lattice_blocks``,
+``_count_law_blocks``), so besides building q(S) a lattice block takes 9
+numpy passes where one level of the total ends it (a block of 2**16 terms
+below 2**21). For every model, on either path and however the blocks
+were split, the value is the correctly rounded sum of the 2**m subset
+terms, ``math.fsum`` of them. The sum alternates and can cancel
 heavily, and every result carries a cancellation-ratio diagnostic;
 ``terms_evaluated`` counts the 2**m - 1 subset terms either way.
 """
@@ -155,10 +156,10 @@ def inclusion_exclusion_expectation(
         spans = [_walk(_count_law_blocks(model))]
     else:
         spans = _run_spans(_lattice_span, model, blocks, _PROCESS_MIN_BLOCKS, workers)
-    # the spans' exact totals add up to the one-span total, so the value,
-    # like the |term| sums in block order and the widest size, is the same
-    # however the blocks were split
-    value = sum(total for total, _, _ in spans) / (1 << _UNIT_SHIFT)
+    # the spans' exact totals, in units of 2**-52, add up to the one-span
+    # total, so the value, like the |term| sums in block order and the
+    # widest size, is the same however the blocks were split
+    value = sum(total for total, _, _ in spans) / (1 << 52)
     abs_sums = [x for _, block_sums, _ in spans for x in block_sums]
     return ExpectationResult(
         value=value,
@@ -236,40 +237,39 @@ def _lattice_span(model: GroupModel, lo: int, hi: int) -> tuple[int, list[float]
 
 
 def _widest(sizes: np.ndarray, q: np.ndarray, offset: int) -> int:
-    """Largest offset + size among entries with q > 0, else 0."""
-    contributing = q > 0.0
-    # on 2**16 entries the masked max takes about 80 us and the plain one
-    # 12, and on the explicit laws nearly every block has q > 0
-    # throughout. The plain max, not the last size: the count classes'
-    # largest sizes are not sorted
-    if contributing.all():
+    """Largest offset + size among entries with q > 0, else 0, for the q of
+    a class or lattice block: q does not increase along a class block,
+    whose sums increase, and every mask of a lattice block holds its first
+    and is held by its last. So every q is > 0 when the last is, and none
+    when the first is 0. The plain max, not the last size: the count
+    classes' largest sizes are not sorted."""
+    if q[-1] > 0.0:
         return offset + int(sizes.max())
-    if not contributing.any():
+    if q[0] == 0.0:
         return 0
-    return offset + int(sizes.max(where=contributing, initial=0))
+    return offset + int(sizes.max(where=q > 0.0, initial=0))
 
 
 def _block_widest(low_sizes: np.ndarray, q: np.ndarray, high: int) -> int:
     """``_widest`` of the lattice block ``high``, whose low masks have sizes
-    ``low_sizes``. q does not increase as S grows, and every mask of the
-    block is a subset of its last, so where q at the last mask is > 0 every
-    q of the block is, and the widest is the last mask's size. On a 2**16
-    block that takes under 1 us, and ``_widest`` about 26 us."""
+    ``low_sizes``. Where q at the last mask is > 0 every q of the block is,
+    and the widest is the last mask's size, which holds every other mask.
+    On a 2**16 block that takes under 1 us, and a max of its sizes about 12."""
     if q[-1] > 0.0:
         return high.bit_count() + int(low_sizes[-1])
     return _widest(low_sizes, q, high.bit_count())
 
 
 def _lattice_blocks(model: GroupModel, lo: int = 0, hi: int | None = None):
-    """((terms, top, -52), sum of |terms|, largest |S| with q > 0) blocks
-    of q(S), streamed from ``avoidance_blocks``: blocks lo .. hi-1, all by
+    """((terms, top), sum of |terms|, largest |S| with q > 0) blocks of
+    q(S), streamed from ``avoidance_blocks``: blocks lo .. hi-1, all by
     default. The first element is an ``_exact_total`` block.
 
     Each block is computed in place in the array that ``avoidance_blocks``
     yields, so a block makes no float array of its size: on 2**16 masks
     each such temporary costs more in page faults than its arithmetic.
-    The bounds that ``_exact_total`` needs come without a scan. Every q is
-    in [0, 1), so every t = 1 / (1 - q) is at least 1, a multiple of
+    The top that ``_exact_total`` needs comes without a scan. Every q is
+    in [0, 1), so every t = 1 / (1 - q) is in [1, 2**53], a multiple of
     2**-52. q does not increase as S grows, so t does not either, and the
     largest t of block h > 0 is that of its first mask, which every mask of
     the block holds; block 0 skips the empty set, and its largest t is that
@@ -299,37 +299,19 @@ def _lattice_blocks(model: GroupModel, lo: int = 0, hi: int | None = None):
         abs_sum = float(t.sum())
         sign = flipped if high.bit_count() % 2 else signs
         np.multiply(sign[first:], t, out=t)
-        yield (t, top, -52), abs_sum, widest
-
-
-# the exact sum's fixed point, 2**-_UNIT_SHIFT: every level of
-# ``_exact_total`` sums multiples of a power of two no smaller than the
-# least subnormal, 2**-1074, so each is a whole number of units
-_UNIT_SHIFT = 1200
-
-
-def _bounds(x: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """x as an ``_exact_total`` block, (x, top, u_exp): its largest |x|,
-    and the exponent of u, the ulp of its smallest nonzero |x|, from one
-    scan of |x|."""
-    magnitudes = np.abs(x)
-    if not x.size or (top := magnitudes.max()) == 0.0:
-        return x, 0.0, 0
-    low = magnitudes.min()
-    if low == 0.0:
-        low = magnitudes.min(where=magnitudes > 0.0, initial=top)
-    return x, top, max(math.frexp(low)[1] - 53, -1074)
+        yield (t, top), abs_sum, widest
 
 
 def _exact_total(blocks) -> int:
-    """The exact sum of the floats in ``blocks``, in units of
-    2**-_UNIT_SHIFT. Totals of any split of the blocks add up to the total
-    of them all.
+    """The exact sum of the floats in ``blocks``, in units of 2**-52.
+    Totals of any split of the blocks add up to the total of them all.
 
-    A block is a triple (x, top, u_exp) of an array x of fewer than 2**26
-    finite float64, which is overwritten, with top >= max|x| and every x
-    a multiple of 2**u_exp. A caller that knows these bounds saves the
-    scan that ``_bounds`` makes of an array (abs, max and min passes).
+    A block is a pair (x, top) of an array x of fewer than 2**26 floats,
+    which is overwritten, each a multiple of 2**-52, and a float top with
+    max|x| <= top < 2**106. Every term of both walks is such a float: a
+    lattice term is +/-t with t = 1 / (1 - q) in [1, 2**53], and a class
+    piece is a part of a_c * t_c with a_c an integer below 2**53
+    (``_exact_products``). Both walks read top off q's order.
 
     Each block of n floats is cut into levels by extraction (Rump, Ogita &
     Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
@@ -339,43 +321,30 @@ def _exact_total(blocks) -> int:
     multiples, so their float64 sum is exact. The remainder x - q is
     exact too (the rounding error of sigma + x), at most 2**(k-53), and
     the next level, 53 - log2(2n) bits lower, takes it, in place of x.
-    Every x, and so every remainder, is a multiple of u = 2**u_exp, so once
-    the remainders add up to at most 2**53 * u in magnitude their plain
-    float64 sum is exact, and it ends the block: top and u fix every
-    level. Where 2**k would overflow (top above about 2**1023 / 2n), levels
-    that truncate x to multiples of 2**s, each integer below 2**52 / n,
-    first take the top bits. The level sums are gathered in one Python
-    int; one correctly rounded int division by 2**_UNIT_SHIFT scales it
-    back, to ``math.fsum`` of all the floats.
+    Every remainder is a multiple of 2**-52, so once the remainders add up
+    to at most 2 in magnitude their plain float64 sum is exact, and it ends
+    the block: top fixes every level. Below 2**106 no sigma comes near
+    overflow. The level sums are gathered in one Python int, which one
+    correctly rounded int division by 2**52 scales back to ``math.fsum``
+    of all the floats.
     """
-    total = 0  # in units of 2**-_UNIT_SHIFT
+    total = 0  # in units of 2**-52
     level = np.empty(0)
-    for x, top, u_exp in blocks:
+    for x, top in blocks:
         n = x.size
-        if not n or top == 0.0:
-            continue
         if n > level.size:
             level = np.empty(n)
         y = level[:n]
         spread = (2 * n - 1).bit_length()  # 2n <= 2**spread
-        e = math.frexp(top)[1]  # every |x| < 2**e
-        while e + spread > 1023:
-            s = e - (52 - n.bit_length())
-            np.ldexp(x, -s, out=y)  # exact, or below 1 where it underflows
-            np.trunc(y, out=y)
-            total += int(y.sum()) << (s + _UNIT_SHIFT)
-            np.ldexp(y, s, out=y)
-            np.subtract(x, y, out=x)
-            e = s
-        k = e + spread  # every |x| <= 2**(k - spread)
-        while k - 54 > u_exp:
+        k = math.frexp(top)[1] + spread  # every |x| <= 2**(k - spread)
+        while k > 2:
             sigma = math.ldexp(1.0, k)
             q = np.subtract(np.add(x, sigma, out=y), sigma, out=y)
-            total += int(math.ldexp(float(q.sum()), 53 - k)) << (k - 53 + _UNIT_SHIFT)
+            total += int(math.ldexp(float(q.sum()), 52))
             np.subtract(x, q, out=x)
             k -= 53 - spread
-        # the |x| add up to at most 2**(k-1) <= 2**53 * u: the sum is exact
-        total += int(math.ldexp(float(x.sum()), -u_exp)) << (u_exp + _UNIT_SHIFT)
+        # the |x| add up to at most 2**(k-1) <= 2: the sum is exact
+        total += int(math.ldexp(float(x.sum()), 52))
     return total
 
 
@@ -387,23 +356,24 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Nonzero floats whose exact sum is the sum of the products a * t.
+    """Floats whose exact sum is the sum of the products a * t.
 
     Dekker's two-product: each product a*t is its rounded value p plus the
     rounding error, which the split halves give exactly because their
     pairwise products need at most 52 bits. ``a`` must be exact in float64.
+    Each |error| is at most half an ulp of p, so no larger than |p|.
     """
     p = a * t
     a_hi, a_lo = _split(a)
     t_hi, t_lo = _split(t)
     error = a_lo * t_lo - (((p - a_hi * t_hi) - a_lo * t_hi) - a_hi * t_lo)
-    parts = np.concatenate([p, error])
-    return parts[parts != 0.0]
+    return np.concatenate([p, error])
 
 
 def _count_law_blocks(model: _CountLaw):
-    """(pieces, sum of |terms|, largest |S| with q > 0) blocks of the sum
-    over the distinct subset sums c; the pieces are ``_bounds`` blocks.
+    """((pieces, top), sum of |terms|, largest |S| with q > 0) blocks of
+    the sum over the distinct subset sums c. The first element is an
+    ``_exact_total`` block.
 
     a_c and b_c are the signed and unsigned numbers of subsets with sum c,
     so -sum a_c * t_c is the value and sum b_c * t_c the sum of |term|.
@@ -411,9 +381,19 @@ def _count_law_blocks(model: _CountLaw):
     other weights stands for its subsets at c and, with the last type
     added, at c + w_last with the opposite sign. That skips the largest
     merge and leaves at most twice the distinct sums.
+
+    The top that ``_exact_total`` needs comes from q's order and one scan
+    of a_c per law. The sums increase along each pass, and q does not
+    increase with c, so a block's first t is its largest, and max|a_c|
+    times it, rounded as the products are, bounds every rounded product
+    and so every Dekker error. Each a_c is an integer (below 2**53, see
+    ``subset_sum_classes``) and each t at least 1, so each product and its
+    rounded value are multiples of 2**-52, and so is their difference, the
+    error.
     """
     counts = model._counts
     sums, signed, total, largest = subset_sum_classes(counts[:-1])
+    most = float(np.abs(signed).max())
     # without the last type c = 0 is only the empty set, not a term
     for shift, sign, first, added in ((0, -1.0, 1, 0), (counts[-1], 1.0, 0, 1)):
         for lo in range(first, sums.size, 1 << _BLOCK_BITS):
@@ -422,7 +402,7 @@ def _count_law_blocks(model: _CountLaw):
             t = 1.0 / (1.0 - q)
             widest = _widest(largest[block], q, added)
             pieces = _exact_products(sign * signed[block], t)
-            yield _bounds(pieces), float((total[block] * t).sum()), widest
+            yield (pieces, most * t[0]), float((total[block] * t).sum()), widest
 
 
 def uniform_single_expectation(m: int) -> float:

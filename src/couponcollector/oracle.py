@@ -208,10 +208,10 @@ def simulate_collection(
     at most one per usable CPU, each with at least ``_PROCESS_MIN_TRIALS``
     trials, and only where no other Python thread runs and not on macOS;
     otherwise they run as one span.
-    ``max_draws`` caps the groups one trial may draw (default
-    ``DEFAULT_MAX_DRAWS``, read at call time). A model with more than 64
-    types (groups and collected sets are uint64 masks), or with a type
-    that no group contains, fails at once, before any draw.
+    ``max_draws``, an integer of at least 1, caps the groups one trial may
+    draw (default ``DEFAULT_MAX_DRAWS``, read at call time). A model with
+    more than 64 types (groups and collected sets are uint64 masks), or
+    with a type that no group contains, fails at once, before any draw.
     """
     _type_bits(model.m)
     _check_collectable(model)
@@ -224,6 +224,9 @@ def simulate_collection(
     workers = max(1, _integer(workers, "workers"))
     if max_draws is None:
         max_draws = DEFAULT_MAX_DRAWS
+    max_draws = _integer(max_draws, "max_draws")
+    if max_draws < 1:
+        raise InputError("max_draws must be at least 1")
     draws = _simulate_spans(model, trials, seed, workers, max_draws)
     values = draws.astype(np.float64).tolist()
     mean = math.fsum(values) / trials

@@ -60,7 +60,7 @@ class TestExact:
         }
         assert round(payload["value"], 1) == 81.5
 
-    @pytest.mark.parametrize("fork", [False, True], ids=["stub pools", "forked"])
+    @pytest.mark.parametrize("fork", [False, True], ids=["stub forks", "forked"])
     def test_forked_lattice_walk_prints_the_one_span_bytes(
         self, model_file, monkeypatch, capsys, fork
     ):

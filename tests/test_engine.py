@@ -436,23 +436,22 @@ class TestLatticePath:
         assert value == math.fsum(terms.tolist()) == 229.83707876017974
 
 
-# every finite double, subnormals included; magnitudes stay below 2**1000
-# so that no partial sum of math.fsum overflows
+# every float an ``engine._exact_total`` block may hold: a multiple of
+# 2**-52 below 2**106
 _anywhere = st.one_of(
-    st.floats(-(2.0**1000), 2.0**1000),
+    st.floats(-(2.0**105), 2.0**105).map(
+        lambda x: math.ldexp(round(math.ldexp(x, 52)), -52)
+    ),
     st.builds(
-        math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1126, 947)
+        math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-52, 52)
     ),
 )
 _arrays = st.lists(_anywhere, max_size=40).map(np.array)
-# every finite float, with the binades next to the largest one weighted up
+# the same floats, with the binades next to 2**106 weighted up
 _topmost = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
+    _anywhere,
     st.builds(
-        math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1126, 971)
-    ),
-    st.builds(
-        math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(940, 971)
+        math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(40, 52)
     ),
 )
 
@@ -461,16 +460,16 @@ def _fsum_of(blocks) -> float:
     return math.fsum(x for block in blocks for x in block.tolist())
 
 
-def _bounded(blocks):
+def _bounded(blocks, floor=0.0):
     """``engine._exact_total`` blocks of the arrays ``blocks``: a copy of
-    each, with the bounds that ``engine._bounds`` scans it for."""
-    return (engine._bounds(x.copy()) for x in blocks)
+    each, with a top of its largest |x| or ``floor``, whichever is larger."""
+    return ((x.copy(), max(float(np.abs(x).max(initial=0.0)), floor)) for x in blocks)
 
 
-def _exact_sum(blocks) -> float:
+def _exact_sum(blocks, floor=0.0) -> float:
     """The correctly rounded sum of the floats in the arrays ``blocks``,
-    from their exact total."""
-    return engine._exact_total(_bounded(blocks)) / (1 << engine._UNIT_SHIFT)
+    from their exact total in units of 2**-52."""
+    return engine._exact_total(_bounded(blocks, floor)) / (1 << 52)
 
 
 _LATTICE_KINDS = ["weighted", "draft", "iid"]
@@ -495,13 +494,18 @@ def _lattice_model(kind: str, seed: int):
 
 
 class TestExactSum:
-    """The exact total of ``_bounds`` blocks (``engine._exact_total``),
-    rounded once, is ``math.fsum`` bit for bit."""
+    """The exact total of ``engine._exact_total`` blocks, multiples of
+    2**-52 below 2**106, rounded once, is ``math.fsum`` bit for bit."""
 
-    @given(st.lists(_arrays, max_size=8))
+    @given(
+        st.lists(_arrays, max_size=8),
+        st.sampled_from([0.0, 1.0, 2.0**60, 2.0**105]),
+    )
     @settings(max_examples=300)
-    def test_mixed_signs_and_exponents(self, blocks):
-        assert _exact_sum(blocks).hex() == _fsum_of(blocks).hex()
+    def test_mixed_signs_and_exponents(self, blocks, floor):
+        # a top above the largest |x|, as the class walk's, costs levels
+        # but not exactness
+        assert _exact_sum(blocks, floor).hex() == _fsum_of(blocks).hex()
 
     @given(st.lists(_anywhere, max_size=60), st.randoms(use_true_random=False))
     def test_exact_cancellation(self, values, random):
@@ -516,7 +520,7 @@ class TestExactSum:
         assert _exact_sum(blocks).hex() == _fsum_of(blocks).hex()
 
     @given(
-        st.integers(-1074, 1000),
+        st.integers(0, 105),
         st.lists(st.integers(1 << 52, (1 << 53) - 1), min_size=1, max_size=4),
         st.sampled_from([1.0, -1.0]),
     )
@@ -535,19 +539,24 @@ class TestExactSum:
         # about 2**51, exactly; levels a few bits wider would round
         rng = np.random.default_rng(seed)
         mantissas = rng.integers(1 << 52, 1 << 53, size=1 << 17)
-        exponent = int(rng.integers(-1022, 971)) - 52
+        exponent = int(rng.integers(0, 106)) - 52
         block = np.ldexp(mantissas.astype(np.float64), exponent)
         block *= rng.choice([1.0, -1.0])
         assert _exact_sum([block]).hex() == _fsum_of([block]).hex()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_a_full_block_across_every_exponent(self, seed):
-        # 2**17 floats with random mantissas and signs, from subnormals to
-        # 2**999: the block runs through every level
+        # 2**17 floats with random mantissas and signs, from 2**-52 to
+        # 2**105, and the largest float below 2**106, in and out, at random
+        # places: the block runs through every level
         rng = np.random.default_rng(seed)
         mantissas = rng.integers(-(1 << 53) + 1, 1 << 53, size=1 << 17)
-        exponents = rng.integers(-1126, 947, size=1 << 17)
+        exponents = rng.integers(-52, 53, size=1 << 17)
         block = np.ldexp(mantissas.astype(np.float64), exponents)
+        top = 2.0**106 - 2.0**53
+        places = np.sort(rng.choice(block.size, size=5, replace=False))
+        block[places] = [top, -top, top, -top, top]
+        block[rng.integers(block.size)] = 2.0**-52
         assert _exact_sum([block]).hex() == _fsum_of([block]).hex()
 
     @pytest.mark.parametrize("top", [19, 20])
@@ -568,45 +577,20 @@ class TestExactSum:
         small = 1.0 + multiples * (2 * q) + q - below
         block = np.append(small, 1.5 * 2.0**top)
         rng.shuffle(block)
-        units = 0
+        units = 0  # of 2**-52, which every float of the block is a multiple of
         for x in block.tolist():
             numerator, denominator = x.as_integer_ratio()
-            units += (numerator << engine._UNIT_SHIFT) // denominator
+            units += (numerator << 52) // denominator
         assert engine._exact_total(_bounded([block])) == units
 
     @given(st.lists(st.lists(_topmost, max_size=40).map(np.array), max_size=4))
     @settings(max_examples=200)
     def test_the_top_of_the_range(self, blocks):
-        # floats up to the largest finite one, where sigma = 2**k with
-        # 2**k >= 2n * max|x| would pass 2**1023: the top bits go first.
-        # Where fsum's partials overflow, the exact rational sum rounded
-        # once is the reference, and both overflow together
+        # floats up to the largest below 2**106, where the first level's
+        # sigma is largest; the exact rational sum rounded once is the
+        # reference too
         exact = sum(Fraction(x) for block in blocks for x in block.tolist())
-        try:
-            want = _fsum_of(blocks)
-        except OverflowError:
-            try:
-                want = float(exact)
-            except OverflowError:
-                with pytest.raises(OverflowError):
-                    _exact_sum(blocks)
-                return
-        assert _exact_sum(blocks).hex() == want.hex() == float(exact).hex()
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_a_full_block_from_subnormals_to_the_largest_float(self, seed):
-        # 2**17 floats from subnormals to 2**953 with random signs, and the
-        # largest finite float, in and out, at random places: the running
-        # sum stays finite, so fsum does not overflow
-        rng = np.random.default_rng(seed)
-        mantissas = rng.integers(-(1 << 53) + 1, 1 << 53, size=1 << 17)
-        exponents = rng.integers(-1126, 901, size=1 << 17)
-        block = np.ldexp(mantissas.astype(np.float64), exponents)
-        top = np.finfo(np.float64).max
-        places = np.sort(rng.choice(block.size, size=5, replace=False))
-        block[places] = [top, -top, top, -top, top]
-        block[rng.integers(block.size)] = 2.0**-1074
-        assert _exact_sum([block]).hex() == _fsum_of([block]).hex()
+        assert _exact_sum(blocks).hex() == _fsum_of(blocks).hex() == float(exact).hex()
 
 
 class TestLatticeStreaming:
@@ -704,12 +688,11 @@ class TestFreeBounds:
 
     @staticmethod
     def _check_bounds(model):
-        for (terms, top, u_exp), abs_sum, _ in engine._lattice_blocks(model):
+        for (terms, top), abs_sum, _ in engine._lattice_blocks(model):
             magnitudes = np.abs(terms)
             assert top == magnitudes.max()
             assert magnitudes.min() >= 1.0
-            assert u_exp == -52
-            units = np.ldexp(terms, -u_exp)
+            units = np.ldexp(terms, 52)
             assert (units == np.trunc(units)).all()
             assert abs_sum == float(magnitudes.sum())
 
@@ -746,18 +729,62 @@ class TestFreeBounds:
         assert err.value.subset_mask == 1 << 11
 
 
+def _class_law(kind: str):
+    """A count law that takes the class path, and its exact cap: an urn of
+    18 counts up to 10**6 (four class blocks), ``UniformDistinct(30, 4)``
+    (|a_c| up to C(30, 15) = 1.55e8) or a g = 400 i.i.d. law whose q
+    underflows to 0."""
+    if kind == "urn":
+        rng = np.random.default_rng(30)
+        counts = tuple(int(c) for c in rng.integers(1, 10**6 + 1, size=18))
+        return WithoutReplacement(Population(counts), 3), 24
+    if kind == "uniform":
+        return UniformDistinct(30, 4), 30
+    return IidWithinGroup(_counts_over_total(np.random.default_rng(7), 14), 400), 24
+
+
+class TestClassBounds:
+    """``_count_law_blocks`` hands ``_exact_total`` a top it reads off q's
+    order and one scan of a_c, and pieces that are multiples of 2**-52;
+    the results are pinned as ``float.hex``."""
+
+    @pytest.mark.parametrize(
+        "kind, value, ratio, widest",
+        [
+            ("urn", "0x1.d07959bbd023ap+7", "0x1.58cc9d76d407dp+10", 17),
+            ("uniform", "0x1.ccb9503344ae0p+4", "0x1.30654427741efp+25", 26),
+            ("iid", "0x1.c897a4ecb7028p+0", "0x1.1f0ffb2645106p+13", 12),
+        ],
+    )
+    def test_pieces_are_bounded_multiples_of_the_unit(self, kind, value, ratio, widest):
+        model, cap = _class_law(kind)
+        assert engine._exact_path(model, cap) == ("classes", None)
+        blocks = list(engine._count_law_blocks(model))
+        assert len(blocks) == (4 if kind == "urn" else 2)
+        for (pieces, top), _, _ in blocks:
+            assert np.abs(pieces).max() <= top < 2.0**106
+            units = np.ldexp(pieces, 52)
+            assert (units == np.trunc(units)).all()
+        result = inclusion_exclusion_expectation(model, exact_cap=cap)
+        assert result.value.hex() == value
+        assert result.cancellation_ratio.hex() == ratio
+        assert result.truncated_at == widest
+
+
 class TestWidest:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_positive_blocks_give_the_masked_max(self, seed):
         # the lattice's low popcounts peak at the end; the count classes'
-        # largest sizes, ordered by sum, need not
+        # largest sizes, ordered by sum, need not. A q in decreasing order
+        # does not increase along a class block, nor as S grows in a
+        # lattice block, and its zeros are a tail
         rng = np.random.default_rng(seed)
         lattice = subset_sums(np.ones(10))
         classes = rng.integers(0, 23, size=lattice.size).astype(np.uint8)
         for sizes in (lattice, classes):
-            q = rng.uniform(0.1, 1.0, size=sizes.size)
-            for zeros in (0.0, 0.5, 1.0):
-                q[rng.uniform(size=q.size) < zeros] = 0.0
+            q = np.sort(rng.uniform(0.1, 1.0, size=sizes.size))[::-1]
+            for zeros in (0, 1, q.size // 2, q.size - 1, q.size):
+                q[q.size - zeros :] = 0.0
                 positive = q > 0.0
                 expected = 3 + int(sizes[positive].max()) if positive.any() else 0
                 assert engine._widest(sizes, q, 3) == expected
@@ -804,10 +831,10 @@ class TestWidest:
 
 def _split_lattice(monkeypatch, mode: str) -> list:
     """Make lattice walks take a span per block on three usable CPUs, in
-    stub children that fork nothing ("stub pools") or in forked processes;
+    stub children that fork nothing ("stub forks") or in forked processes;
     returns the list of the children forked per call."""
     monkeypatch.setattr(engine, "_PROCESS_MIN_BLOCKS", 1)
-    return (stub_forks if mode == "stub pools" else spy_forks)(monkeypatch, 3)
+    return (stub_forks if mode == "stub forks" else spy_forks)(monkeypatch, 3)
 
 
 def _logged(log, name, build, model):
@@ -822,7 +849,7 @@ class TestForkedLattice:
     """A lattice walk split into spans (``_spans._run_spans``) gives the
     one-span result bit for bit, and the one-span error."""
 
-    @pytest.mark.parametrize("mode", ["stub pools", "forked"])
+    @pytest.mark.parametrize("mode", ["stub forks", "forked"])
     @pytest.mark.parametrize("kind", _LATTICE_KINDS)
     def test_split_walks_equal_the_one_span_walk(self, monkeypatch, mode, kind):
         model = _lattice_model(kind, _LATTICE_KINDS.index(kind))
@@ -868,7 +895,7 @@ class TestForkedLattice:
         one = inclusion_exclusion_expectation(model)
         assert inclusion_exclusion_expectation(model, workers=-3) == one
 
-    @pytest.mark.parametrize("mode", ["one span", "stub pools", "forked"])
+    @pytest.mark.parametrize("mode", ["one span", "stub forks", "forked"])
     @pytest.mark.parametrize(
         "tiny, mask",
         [((16,), 1 << 16), ((15, 16), 1 << 15)],

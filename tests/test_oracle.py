@@ -233,6 +233,10 @@ class TestSimulation:
         for seed in (2.7, "3", False, np.bool_(True)):  # not seed 2, 3, 0 or 1
             with pytest.raises(InputError, match="seed"):
                 simulate_collection(model, trials=10, seed=seed)
+        # not 2 or 10 draws, nor 1, and no limit below 1 draw is a divergence
+        for max_draws in (2.5, "10", True, 0, -3):
+            with pytest.raises(InputError, match="max_draws"):
+                simulate_collection(model, trials=10, seed=1, max_draws=max_draws)
         for workers in (2.7, "3", True):  # not 2, 3 or 1 workers
             with pytest.raises(InputError, match="workers"):
                 simulate_collection(model, trials=10, seed=1, workers=workers)
@@ -503,16 +507,17 @@ class TestWorkerPools:
         assert type(err.value) is DivergenceError
         assert made == [1]
 
-    @pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
-    def test_pool_size_is_capped_at_the_usable_cpus(self, monkeypatch, forked):
+    def test_forks_are_capped_at_the_usable_cpus(self, monkeypatch):
+        # 10,000 workers on 3 usable CPUs: no fork below the break-even
+        # span, and 2 children besides the caller above it
         model = UniformDistinct(5, 3)
         want = _reference_draws(model, 4, self.TRIALS)
         made = stub_forks(monkeypatch, 3)
-        if forked:
-            monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 1)
-        got = oracle._simulate_spans(model, self.TRIALS, 4, 10_000, 10**6)
-        assert made == ([2] if forked else [])
-        assert np.array_equal(got, want)
+        for min_trials, children in ((oracle._PROCESS_MIN_TRIALS, []), (1, [2])):
+            monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", min_trials)
+            got = oracle._simulate_spans(model, self.TRIALS, 4, 10_000, 10**6)
+            assert made == children
+            assert np.array_equal(got, want)
 
     def test_a_running_thread_keeps_spans_out_of_forked_processes(self, monkeypatch):
         model = UniformDistinct(5, 3)
