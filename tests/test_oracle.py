@@ -507,17 +507,19 @@ class TestWorkerPools:
         assert type(err.value) is DivergenceError
         assert made == [1]
 
-    def test_forks_are_capped_at_the_usable_cpus(self, monkeypatch):
+    @pytest.mark.parametrize("forked", [False, True], ids=["threads", "processes"])
+    def test_pool_size_is_capped_at_the_usable_cpus(self, monkeypatch, forked):
         # 10,000 workers on 3 usable CPUs: no fork below the break-even
-        # span, and 2 children besides the caller above it
+        # span ("threads": every span runs in the caller), and 2 children
+        # besides the caller above it
         model = UniformDistinct(5, 3)
         want = _reference_draws(model, 4, self.TRIALS)
         made = stub_forks(monkeypatch, 3)
-        for min_trials, children in ((oracle._PROCESS_MIN_TRIALS, []), (1, [2])):
-            monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", min_trials)
-            got = oracle._simulate_spans(model, self.TRIALS, 4, 10_000, 10**6)
-            assert made == children
-            assert np.array_equal(got, want)
+        if forked:
+            monkeypatch.setattr(oracle, "_PROCESS_MIN_TRIALS", 1)
+        got = oracle._simulate_spans(model, self.TRIALS, 4, 10_000, 10**6)
+        assert made == ([2] if forked else [])
+        assert np.array_equal(got, want)
 
     def test_a_running_thread_keeps_spans_out_of_forked_processes(self, monkeypatch):
         model = UniformDistinct(5, 3)
