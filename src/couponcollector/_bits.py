@@ -6,6 +6,8 @@ length 2**m and run in increasing bitmask order; ``subset_sum_classes``
 instead groups the subsets by the sum of their values.
 """
 
+import math
+from collections import Counter
 from collections.abc import Iterable
 
 import numpy as np
@@ -52,6 +54,21 @@ def subset_sums(values) -> np.ndarray:
     return out
 
 
+def class_bound(values) -> tuple[bool, int, int]:
+    """``(integer, width, multisets)`` of nonnegative ``values``: whether
+    every value is an integer, W + 1 for their total W, and prod(k + 1)
+    over the multiplicities k of equal values, the number of sub-multisets.
+
+    Integers whose total is below 2**53 have exact subset sums, so they
+    make at most min(width, multisets) distinct sums: each is one of
+    0 .. W, and equal sub-multisets have equal sums.
+    """
+    values = tuple(values)
+    integer = all(float(v).is_integer() for v in values)
+    multisets = math.prod(k + 1 for k in Counter(values).values())
+    return integer, int(sum(values)) + 1, multisets
+
+
 def subset_sum_classes(
     values,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -61,10 +78,16 @@ def subset_sum_classes(
     s = ``sums[j]``, ``signed[j]`` is the sum of (-1)**|S| and ``total[j]``
     the number of subsets S with sum s, and ``largest[j]`` the largest |S|
     among them. For integer values these are the coefficients of x**s in
-    prod(1 - x**n) and prod(1 + x**n). Each value merges the sorted run of
-    sums with the same run shifted by that value and folds each run of
-    equal sums into its first entry, so the work grows with the number of
-    distinct sums (at most sum(values) + 1 for integers), not with 2**m.
+    prod(1 - x**n) and prod(1 + x**n).
+
+    Two builders give these arrays, chosen by ``class_bound``. Integers
+    whose total W has W + 1 <= prod(k + 1) over the multiplicities k of
+    equal values take a dense walk over the sums 0 .. W
+    (``_dense_classes``): it allocates at most W + 1 entries, no more than
+    the sub-multisets that bound the classes. Everything else, real values
+    and integers spread wider such as an urn of N = 10**8, takes a stable
+    merge (``_merged_classes``), whose work grows with the number of
+    distinct sums, at most 2**len(values).
 
     The sums are added in the bit order of ``subset_sums``, so each one is
     the float64 that ``subset_sums`` gives its subsets: shifting a class
@@ -74,11 +97,56 @@ def subset_sum_classes(
     """
     if len(values) > 52:
         raise ValueError("subset multiplicities pass 2**53 above 52 values")
+    integer, width, multisets = class_bound(values)
+    if integer and width <= multisets:
+        return _dense_classes(values)
+    return _merged_classes(values)
+
+
+def _dense_classes(values):
+    """``subset_sum_classes`` of integers, walked densely over the
+    multiples of their greatest common divisor d from 0 to their total W:
+    the coefficients of prod(1 - x**n) and prod(1 + x**n) and the largest
+    size at each sum, by one shifted subtraction, addition and maximum per
+    value over the sums reached so far. The walk takes W / d + 1 <= W + 1
+    entries: a population counted in thousands walks a thousandth of its
+    sums. A sum that no subset has reached holds a size of -128 plus at
+    most 52, below every real size, so it never wins a maximum."""
+    # the product does not depend on the order, and each step's work is
+    # the sums reached before it: smallest first
+    counts = sorted(int(v) for v in values)
+    d = math.gcd(*counts) or 1
+    width = sum(counts) // d + 1
+    signed = np.zeros(width, dtype=np.int64)
+    total = np.zeros(width, dtype=np.int64)
+    largest = np.full(width, -128, dtype=np.int8)
+    signed[0] = total[0] = 1
+    largest[0] = 0
+    reached = 1  # sums 0 .. reached - 1, in units of d
+    for v in counts:
+        old, new = slice(0, reached), slice(v // d, v // d + reached)
+        # numpy reads an overlapping input as it was before the write
+        np.subtract(signed[new], signed[old], out=signed[new])
+        np.add(total[new], total[old], out=total[new])
+        np.maximum(largest[new], largest[old] + 1, out=largest[new])
+        reached += v // d
+    # one statement each, so each full-width array is freed after its gather
+    sums = np.flatnonzero(total)
+    signed = signed[sums]
+    total = total[sums]
+    largest = largest[sums].astype(np.uint8)
+    return (sums * d).astype(np.float64), signed, total, largest
+
+
+def _merged_classes(values):
+    """``subset_sum_classes`` by merging: each value merges the sorted run
+    of sums with the same run shifted by that value (one stable argsort)
+    and folds each run of equal sums into its first entry."""
     sums = np.zeros(1, dtype=np.float64)
     signed = np.ones(1, dtype=np.int64)
     total = np.ones(1, dtype=np.int64)
     largest = np.zeros(1, dtype=np.uint8)
-    # each step drops its inputs as soon as it can: at N >> 2**m the
+    # each step drops its inputs as soon as it can: at W >> 2**m the
     # arrays hold up to 2**m entries
     for v in values:
         merged = np.concatenate([sums, sums + v])
@@ -96,24 +164,24 @@ def subset_sum_classes(
         # float rounding can make a shifted run repeat a sum, and two equal
         # shifted sums can meet a third unshifted one: runs of equal sums
         # have any length. Each later entry of a run folds into its head
-        joins = np.flatnonzero(merged[1:] == merged[:-1])
-        starts = np.ones(joins.size, dtype=bool)
-        starts[1:] = joins[1:] != joins[:-1] + 1
-        head = joins[starts][np.cumsum(starts) - 1]
-        later = joins + 1
-        del joins, starts
-        np.add.at(signed, head, signed[later])
-        np.add.at(total, head, total[later])
-        np.maximum.at(largest, head, largest[later])
-        del head
-        keep = np.ones(merged.size, dtype=bool)
-        keep[later] = False
-        del later
-        sums = merged[keep]
+        head = np.empty(merged.size, dtype=bool)
+        head[0] = True
+        np.not_equal(merged[1:], merged[:-1], out=head[1:])
+        sums = merged[head]
         del merged
-        signed = signed[keep]
-        total = total[keep]
-        largest = largest[keep]
+        later = np.flatnonzero(~head)
+        # later[i] has i later entries before it, so later[i] - i heads,
+        # the last of them its run's: that head's class is later[i] - i - 1
+        into = later - np.arange(1, later.size + 1)
+        folded = signed[later]
+        signed = signed[head]
+        np.add.at(signed, into, folded)
+        folded = total[later]
+        total = total[head]
+        np.add.at(total, into, folded)
+        folded = largest[later]
+        largest = largest[head]
+        np.maximum.at(largest, into, folded)
     return sums, signed, total, largest
 
 

@@ -58,13 +58,12 @@ heavily, and every result carries a cancellation-ratio diagnostic;
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from ._bits import _BLOCK_BITS, subset_sum_classes, subset_sums, types_of
+from ._bits import _BLOCK_BITS, class_bound, subset_sum_classes, subset_sums, types_of
 from .errors import CapacityError, DivergenceError, InputError
 from .models import (
     GroupModel,
@@ -85,13 +84,17 @@ DEFAULT_EXACT_CAP = 24
 # (class path against lattice): N = 10**5 has 217,891 classes, 0.11 s
 # against 0.26 s, and 12 values are the fewest whose sums coincide; at
 # N = 10**6 (1.29M classes, 0.41 s against 0.29 s) 12 values are the most
-# whose sums do not. The probe costs 0.3 ms. A generic p with one value
-# repeated still collides and takes the class path, 1.3x the lattice.
+# whose sums do not. The probe, a sort of its 4096 lattice sums, costs
+# about 0.06 ms. A generic p with one value repeated still collides and
+# takes the class path, 1.3x the lattice.
 _PROBE_VALUES = 12
 
 # The most subset-sum classes a count law may build, as many as the
-# default cap allows: at m = 24, N = 10**8 the 2**23 classes of the
-# first 23 counts took 380 MB, about 45 B each
+# default cap allows: at m = 24, N = 10**8 the merge of the first 23
+# counts' 7,980,880 classes (of at most 2**23) peaks at 322 MB, about 42 B
+# each, and the whole sum at 380-435 MB RSS as the heap lies. The dense
+# walk of integer counts peaks at about 27 B for each of its at most 2**23
+# possible sums: 203 MB for the 7,977,826 of an urn of N = 8 * 10**6
 _MAX_CLASSES = 1 << (DEFAULT_EXACT_CAP - 1)
 
 # Each span of a forked lattice walk gets at least this many blocks of 2**16
@@ -186,10 +189,14 @@ def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int | None]:
             f"(subset multiplicities pass 2**53); use the Monte Carlo oracle"
         )
     counts = model._counts
-    integer = all(float(v).is_integer() for v in counts)
-    probe = counts[:_PROBE_VALUES]
-    if not integer and subset_sum_classes(probe)[0].size == 1 << len(probe):
-        return "lattice", blocks
+    head = counts[:-1]
+    integer, width, multisets = class_bound(head)
+    if not integer:
+        # the probe's classes are its distinct subset sums (sorted here:
+        # ``np.unique`` imports ``numpy.ma`` on first use, 9 ms)
+        probe = np.sort(subset_sums(counts[:_PROBE_VALUES]))
+        if (probe[1:] > probe[:-1]).all():
+            return "lattice", blocks
     # q falls as c grows (1 - c, each urn factor, and their rounding are
     # monotone, and so are the float subset sums in their subset), so
     # q(S) = 1 for some S exactly when it does for a single type, and the
@@ -200,12 +207,11 @@ def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int | None]:
         _raise_stuck(1 << int(stuck[0]))
     # bounded before the build, which would run out of memory instead:
     # integer counts whose sums stay exact make at most N + 1 distinct
-    # sums, and no more than their sub-multisets
-    head = counts[:-1]
+    # sums, and no more than their sub-multisets. The build walks its
+    # sums densely only when the first bound is no larger
     classes = 1 << len(head)
-    if integer and sum(head) < 2**53:
-        multisets = math.prod(k + 1 for k in Counter(head).values())
-        classes = min(int(sum(head)) + 1, multisets)
+    if integer and width <= 2**53:
+        classes = min(width, multisets)
     if classes > _MAX_CLASSES:
         raise CapacityError(
             f"the subset sums of {len(head)} weights make up to {classes} "

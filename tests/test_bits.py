@@ -2,10 +2,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from couponcollector._bits import (
+    class_bound,
     mask_of,
     subset_sum_classes,
     subset_sums,
@@ -56,6 +57,60 @@ def test_float_subset_sum_classes_group_the_lattice_floats(seed):
     values = (counts / counts.sum()).tolist()
     got = subset_sum_classes(values)
     assert [a.tolist() for a in got] == list(_grouped(subset_sums(values).tolist()))
+
+
+def _check_classes(values):
+    """``subset_sum_classes`` of ``values`` is the grouping of their
+    lattice floats, in the four dtypes."""
+    got = subset_sum_classes(values)
+    assert [a.dtype for a in got] == [np.float64, np.int64, np.int64, np.uint8]
+    assert [a.tolist() for a in got] == list(_grouped(subset_sums(values).tolist()))
+
+
+# zeros and repeats, a common factor, and large counts that spread the
+# sums past their sub-multisets, so that both builders run
+@given(
+    st.lists(st.integers(0, 12), max_size=10),
+    st.lists(st.sampled_from([10**6, 10**6 + 1, 999_983]), max_size=2),
+    st.sampled_from([1, 2, 3]),
+)
+@example([3, 1, 2, 3, 1, 4], [], 1)  # W + 1 = 15 <= 36 sub-multisets: dense
+@example([0, 2, 0, 1], [], 1)  # dense, with zeros
+@example([0, 0, 5, 5], [], 1)  # W + 1 = 11 > 9: merged, with zeros
+@example([1], [10**6, 10**6], 1)  # W + 1 = 2000002 > 6: merged
+@example([1, 2, 3, 4, 5], [], 2)  # dense over the even sums
+# a sum no subset has reached yet, shifted onto a reached one, must not
+# raise its largest size
+@example([5, 10, 4, 3, 10, 11], [], 1)
+def test_integer_classes_match_brute_force(small, large, factor):
+    _check_classes([c * factor for c in small] + large)
+
+
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=10))
+@example([3, 1, 2, 7, 3, 2, 5])  # the last merge meets a run of three sums
+def test_counts_over_total_classes_match_brute_force(counts):
+    # p = counts / N: one integer sum can round to several floats, and a
+    # shifted run can repeat a sum
+    _check_classes([c / sum(counts) for c in counts])
+
+
+@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=10))
+def test_generic_classes_match_brute_force(values):
+    _check_classes(values)
+
+
+@pytest.mark.parametrize(
+    "values, bound",
+    [
+        ((), (True, 1, 1)),
+        ((3, 1, 2, 3, 1, 4), (True, 15, 36)),
+        ((10**6, 10**6, 1), (True, 2000002, 6)),
+        ((0, 0, 5, 5), (True, 11, 9)),
+        ((0.5, 0.25, 0.25), (False, 2, 6)),
+    ],
+)
+def test_class_bound(values, bound):
+    assert class_bound(values) == bound
 
 
 def test_subset_sum_classes_reject_inexact_multiplicities():

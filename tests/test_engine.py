@@ -31,7 +31,7 @@ from couponcollector import (
 )
 import couponcollector.engine as engine
 import couponcollector.models as models
-from couponcollector._bits import mask_of, subset_sums
+from couponcollector._bits import class_bound, mask_of, subset_sums
 from conftest import random_model, spy_forks, stub_forks
 
 PAPER_COUNTS = (10, 100, 500, 1000)
@@ -223,6 +223,7 @@ class TestExactPath:
     def test_the_53_type_limit_comes_before_the_probe(self, monkeypatch):
         p = np.random.default_rng(54).uniform(0.1, 1.0, size=54)
         model = IidWithinGroup(tuple(p / p.sum()), 3)
+        monkeypatch.setattr(engine, "subset_sums", _fail)
         monkeypatch.setattr(engine, "subset_sum_classes", _fail)
         with pytest.raises(CapacityError, match="m=54 exceeds the 53-type limit"):
             inclusion_exclusion_expectation(model, exact_cap=60)
@@ -244,15 +245,17 @@ class TestExactPath:
 
     def test_the_class_bound_comes_before_a_wide_class_build(self, monkeypatch):
         # counts / N share subset sums, so the probe picks the class path,
-        # and 24 real weights may make 2**24 classes
+        # and 24 real weights may make 2**24 classes. The probe reads the
+        # lattice sums of its values, and no class is built
         model = IidWithinGroup(_counts_over_total(np.random.default_rng(3), 25), 2)
         widths = []
-        classes = engine.subset_sum_classes
+        sums = engine.subset_sums
         monkeypatch.setattr(
             engine,
-            "subset_sum_classes",
-            lambda values: widths.append(len(values)) or classes(values),
+            "subset_sums",
+            lambda values: widths.append(len(values)) or sums(values),
         )
+        monkeypatch.setattr(engine, "subset_sum_classes", _fail)
         with pytest.raises(CapacityError, match="2\\*\\*23"):
             inclusion_exclusion_expectation(model, exact_cap=25)
         assert widths == [engine._PROBE_VALUES]
@@ -765,6 +768,61 @@ class TestClassBounds:
             assert np.abs(pieces).max() <= top < 2.0**106
             units = np.ldexp(pieces, 52)
             assert (units == np.trunc(units)).all()
+        result = inclusion_exclusion_expectation(model, exact_cap=cap)
+        assert result.value.hex() == value
+        assert result.cancellation_ratio.hex() == ratio
+        assert result.truncated_at == widest
+
+
+def _bits_law(kind: str):
+    """A count law on the class path and its exact cap: Mandelbrot urns
+    (c = 0.30, theta = 1.75) of N = 1000 (or 10**6) individuals at m
+    types, ``UniformDistinct(m, g)``, an i.i.d. law with p = counts / N at
+    m = 22, and an urn of repeated large counts whose sums spread past
+    their 324 sub-multisets."""
+    def urn(n, m):
+        return population_from_weights(mandelbrot_weights(m, 0.30, 1.75), n)
+
+    laws = {
+        "urn-24": (WithoutReplacement(urn(1000, 24), 2), 24),
+        "urn-40": (WithoutReplacement(urn(1000, 40), 2), 40),
+        "urn-20-1e6": (WithoutReplacement(urn(10**6, 20), 2), 24),
+        "ud-22-4": (UniformDistinct(22, 4), 24),
+        "ud-30-2": (UniformDistinct(30, 2), 30),
+        "iid-22": (IidWithinGroup(urn(1000, 22).proportions(), 3), 24),
+        "repeated": (
+            WithoutReplacement(
+                Population((10**6,) * 8 + (10**6 + 1,) * 8 + (999_983,) * 4), 2
+            ),
+            24,
+        ),
+    }
+    return laws[kind]
+
+
+class TestClassBits:
+    """Both class builders feed the same sum: each law's value, ratio
+    (``float.hex``) and widest size are pinned as a build that merged
+    every law's classes gave them, and ``dense`` says which builder
+    ``class_bound`` picks for the law."""
+
+    @pytest.mark.parametrize(
+        "kind, dense, value, ratio, widest",
+        [
+            ("urn-24", True, "0x1.8fb30af345ae3p+8", "0x1.32fdfaf7bc17dp+16", 23),
+            ("urn-40", True, "0x1.50d5e91c580fep+10", "0x1.5fe6156111ac4p+30", 39),
+            ("urn-20-1e6", False, "0x1.0eba6c988f222p+8", "0x1.cde3a176e4a9fp+12", 19),
+            ("ud-22-4", True, "0x1.33bd211b4a939p+4", "0x1.c8782145cd4c3p+17", 18),
+            ("ud-30-2", True, "0x1.d945c18149cb1p+5", "0x1.7794661e50111p+24", 28),
+            ("iid-22", False, "0x1.cbac9596564bep+7", "0x1.afb0ee71dc6b9p+14", 21),
+            ("repeated", False, "0x1.21d1b4d2f21b5p+5", "0x1.3b795a901dc0cp+15", 19),
+        ],
+    )
+    def test_results_are_pinned(self, kind, dense, value, ratio, widest):
+        model, cap = _bits_law(kind)
+        assert engine._exact_path(model, cap) == ("classes", None)
+        integer, width, multisets = class_bound(model._counts[:-1])
+        assert (integer and width <= multisets) == dense
         result = inclusion_exclusion_expectation(model, exact_cap=cap)
         assert result.value.hex() == value
         assert result.cancellation_ratio.hex() == ratio
