@@ -2,8 +2,9 @@
 
 Subsets of the type universe {0, .., m-1} are represented as integer
 bitmasks (bit i set <=> type i in the set). Arrays indexed by mask have
-length 2**m and run in increasing bitmask order; ``subset_sum_classes``
-instead groups the subsets by the sum of their values.
+length 2**m and run in increasing bitmask order; ``_dense_classes`` and
+``_merged_classes`` instead group the subsets by the sum of their values,
+and ``class_bound`` says which of the two does.
 """
 
 import math
@@ -17,6 +18,18 @@ import numpy as np
 # m = 24, N = 10**8 (about 2**24 count classes) one pass peaked at 962 MB
 # and took 4.5 s; in blocks, 399 MB and 2.3 s
 _BLOCK_BITS = 16
+
+# The most entries a table that grows with its law may hold, checked before
+# it is built: the classes of a count law's "dense" or "merged" walk (the
+# bound of ``class_bound``), as many as the default exact cap of 24 types
+# allows, and the groups of a draft lottery's enumerated law, which the
+# "lattice" walk reads. At m = 24, N = 10**8 the merge of the first 23
+# counts' 7,980,880 classes (of at most 2**23) peaks at 322 MB, about 42 B
+# each, and the whole sum at 380-435 MB RSS as the heap lies. The dense
+# walk peaks at about 27 B for each of its W / d + 1 sums: 203 MB for the
+# 7,977,826 of an urn of N = 8 * 10**6. A draft lottery's law took about
+# 110 B a group (122-685 MB at m = 24-30, g = 8)
+_MAX_CLASSES = 1 << 23
 
 
 def mask_of(types: Iterable[int]) -> int:
@@ -54,57 +67,46 @@ def subset_sums(values) -> np.ndarray:
     return out
 
 
-def class_bound(values) -> tuple[bool, int, int]:
-    """``(integer, width, multisets)`` of nonnegative ``values``: whether
-    every value is an integer, W + 1 for their total W, and prod(k + 1)
-    over the multiplicities k of equal values, the number of sub-multisets.
+def class_bound(values) -> tuple[bool, bool, int]:
+    """``(integer, dense, classes)`` of nonnegative ``values``: whether
+    every value is an integer, whether their classes take the dense walk
+    (``_dense_classes``) or the merge (``_merged_classes``), and a bound on
+    the number of their distinct subset sums, the classes.
 
-    Integers whose total is below 2**53 have exact subset sums, so they
-    make at most min(width, multisets) distinct sums: each is one of
-    0 .. W, and equal sub-multisets have equal sums.
+    Both builders return the same four arrays ``(sums, signed, total,
+    largest)`` in increasing order of s: for s = ``sums[j]``, ``signed[j]``
+    is the sum of (-1)**|S| and ``total[j]`` the number of subsets S with
+    sum s, and ``largest[j]`` the largest |S| among them. For integer
+    values these are the coefficients of x**s in prod(1 - x**n) and
+    prod(1 + x**n). The sums are added in the bit order of
+    ``subset_sums``, so each one is the float64 that ``subset_sums`` gives
+    its subsets: shifting a class shifts each of its subsets by the same
+    rounded addition. The multiplicities are int64 and, for up to 52
+    values, below 2**53, so exact as floats.
+
+    Integers whose total W is below 2**53 have exact subset sums, each a
+    multiple of their greatest common divisor d in 0 .. W, and equal
+    sub-multisets have equal sums: they make at most W / d + 1 classes and
+    at most prod(k + 1) over the multiplicities k of equal values, the
+    sub-multisets. Where W / d + 1 is no larger, the dense walk takes
+    them, allocating no more entries than the sub-multisets that bound
+    the classes. Everything else, real values and integers spread wider
+    such as an urn of N = 10**8, is merged, with work that grows with the
+    number of distinct sums, at most 2**len(values).
     """
     values = tuple(values)
-    integer = all(float(v).is_integer() for v in values)
-    multisets = math.prod(k + 1 for k in Counter(values).values())
-    return integer, int(sum(values)) + 1, multisets
-
-
-def subset_sum_classes(
-    values,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct subset sums s of nonnegative ``values``, with multiplicities.
-
-    Returns ``(sums, signed, total, largest)`` in increasing order of s: for
-    s = ``sums[j]``, ``signed[j]`` is the sum of (-1)**|S| and ``total[j]``
-    the number of subsets S with sum s, and ``largest[j]`` the largest |S|
-    among them. For integer values these are the coefficients of x**s in
-    prod(1 - x**n) and prod(1 + x**n).
-
-    Two builders give these arrays, chosen by ``class_bound``. Integers
-    whose total W has W + 1 <= prod(k + 1) over the multiplicities k of
-    equal values take a dense walk over the sums 0 .. W
-    (``_dense_classes``): it allocates at most W + 1 entries, no more than
-    the sub-multisets that bound the classes. Everything else, real values
-    and integers spread wider such as an urn of N = 10**8, takes a stable
-    merge (``_merged_classes``), whose work grows with the number of
-    distinct sums, at most 2**len(values).
-
-    The sums are added in the bit order of ``subset_sums``, so each one is
-    the float64 that ``subset_sums`` gives its subsets: shifting a class
-    shifts each of its subsets by the same rounded addition. For integers
-    they are exact below 2**53. The multiplicities are int64 and, for up
-    to 52 values, below 2**53, so exact as floats.
-    """
-    if len(values) > 52:
-        raise ValueError("subset multiplicities pass 2**53 above 52 values")
-    integer, width, multisets = class_bound(values)
-    if integer and width <= multisets:
-        return _dense_classes(values)
-    return _merged_classes(values)
+    if not all(float(v).is_integer() for v in values):
+        return False, False, 1 << len(values)
+    counts = [int(v) for v in values]
+    if (total := sum(counts)) >= 2**53:
+        return True, False, 1 << len(values)
+    width = total // (math.gcd(*counts) or 1) + 1
+    multisets = math.prod(k + 1 for k in Counter(counts).values())
+    return True, width <= multisets, min(width, multisets)
 
 
 def _dense_classes(values):
-    """``subset_sum_classes`` of integers, walked densely over the
+    """The classes (``class_bound``) of integers, walked densely over the
     multiples of their greatest common divisor d from 0 to their total W:
     the coefficients of prod(1 - x**n) and prod(1 + x**n) and the largest
     size at each sum, by one shifted subtraction, addition and maximum per
@@ -139,9 +141,10 @@ def _dense_classes(values):
 
 
 def _merged_classes(values):
-    """``subset_sum_classes`` by merging: each value merges the sorted run
-    of sums with the same run shifted by that value (one stable argsort)
-    and folds each run of equal sums into its first entry."""
+    """The classes (``class_bound``) of ``values`` by merging: each value
+    merges the sorted run of sums with the same run shifted by that value
+    (one stable argsort) and folds each run of equal sums into its first
+    entry."""
     sums = np.zeros(1, dtype=np.float64)
     signed = np.ones(1, dtype=np.int64)
     total = np.ones(1, dtype=np.int64)

@@ -171,11 +171,13 @@ def _m_sweep(args) -> int:
         weights = mandelbrot_weights(m, MANDELBROT_C, MANDELBROT_THETA)
         population = population_from_weights(weights, total)
         model = WithoutReplacement(population, group_size)
-        if m <= args.exact_cap:
+        # a row the engine cannot answer (above the cap, or past its class
+        # bound) keeps its simulation and leaves the exact cell empty
+        try:
             exact_cell = _fmt(
                 inclusion_exclusion_expectation(model, exact_cap=args.exact_cap).value
             )
-        else:
+        except CapacityError:
             exact_cell = ""
         estimate = simulate_collection(
             model, trials=args.trials, seed=args.seed, workers=workers

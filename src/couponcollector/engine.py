@@ -12,12 +12,14 @@ the sum reproduces the trailing binomial correction of the distinct-group
 closed form without a special case.
 
 Before any q(S) table or class is built, ``_exact_path`` checks every
-limit that can fail there and picks the walk, in this order:
+limit that can fail there and names the walk, in this order:
 
 1. m above ``exact_cap`` (an integer, ``DEFAULT_EXACT_CAP`` by default)
    raises ``CapacityError``, for every model;
 2. a type that no group contains raises ``DivergenceError``;
-3. explicit laws (``WeightedDistinct``, ``DraftLottery``) walk the lattice;
+3. explicit laws (``WeightedDistinct``, ``DraftLottery``) walk the lattice,
+   "lattice"; a draft lottery of more than ``_MAX_CLASSES`` groups raises
+   ``CapacityError`` before it enumerates them;
 4. a count law above 53 types raises ``CapacityError`` (only a cap of 54
    or more reaches it);
 5. integer counts take the class path, and so do real weights when the
@@ -25,7 +27,12 @@ limit that can fail there and picks the walk, in this order:
    weights (a generic p) walk the lattice;
 6. on the class path, a single type with q = 1 raises
    ``DivergenceError``, and more than ``_MAX_CLASSES`` classes raise
-   ``CapacityError``.
+   ``CapacityError``. The bound and the builder come from one rule,
+   ``_bits.class_bound`` of the weights but the last: integers whose
+   total W is below 2**53, with d their greatest common divisor, make at
+   most min(W / d + 1, sub-multisets) classes, and where W / d + 1 is the
+   smaller their classes are walked densely, "dense"; the others are
+   merged, "merged", with at most 2**(m-1) classes for real weights.
 
 The lattice walk raises ``DivergenceError`` at its first subset with
 q = 1. Count-statistic laws (``UniformDistinct``, ``WithoutReplacement``,
@@ -63,7 +70,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import _BLOCK_BITS, class_bound, subset_sum_classes, subset_sums, types_of
+from ._bits import _BLOCK_BITS, _MAX_CLASSES, class_bound, subset_sums, types_of
+from ._bits import _dense_classes, _merged_classes
 from .errors import CapacityError, DivergenceError, InputError
 from .models import (
     GroupModel,
@@ -88,14 +96,6 @@ DEFAULT_EXACT_CAP = 24
 # about 0.06 ms. A generic p with one value repeated still collides and
 # takes the class path, 1.3x the lattice.
 _PROBE_VALUES = 12
-
-# The most subset-sum classes a count law may build, as many as the
-# default cap allows: at m = 24, N = 10**8 the merge of the first 23
-# counts' 7,980,880 classes (of at most 2**23) peaks at 322 MB, about 42 B
-# each, and the whole sum at 380-435 MB RSS as the heap lies. The dense
-# walk of integer counts peaks at about 27 B for each of its at most 2**23
-# possible sums: 203 MB for the 7,977,826 of an urn of N = 8 * 10**6
-_MAX_CLASSES = 1 << (DEFAULT_EXACT_CAP - 1)
 
 # Each span of a forked lattice walk gets at least this many blocks of 2**16
 # masks (see ``_spans._run_spans``). Measured with two workers on a 2-core
@@ -154,11 +154,12 @@ def inclusion_exclusion_expectation(
     for every worker count.
     """
     workers = max(1, _integer(workers, "workers"))
-    path, blocks = _exact_path(model, exact_cap)
-    if path == "classes":
-        spans = [_walk(_count_law_blocks(model))]
+    path, size = _exact_path(model, exact_cap)
+    if path == "lattice":
+        spans = _run_spans(_lattice_span, model, size, _PROCESS_MIN_BLOCKS, workers)
     else:
-        spans = _run_spans(_lattice_span, model, blocks, _PROCESS_MIN_BLOCKS, workers)
+        build = _dense_classes if path == "dense" else _merged_classes
+        spans = [_walk(_count_law_blocks(model, build))]
     # the spans' exact totals, in units of 2**-52, add up to the one-span
     # total, so the value, like the |term| sums in block order and the
     # widest size, is the same however the blocks were split
@@ -172,10 +173,12 @@ def inclusion_exclusion_expectation(
     )
 
 
-def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int | None]:
+def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int]:
     """Check every limit of the exact sum, in the module docstring's
-    order, and pick the walk: ("classes", None) for the sum over distinct
-    subset sums, or ("lattice", its number of 2**16-mask blocks)."""
+    order, and name the walk with its size: ("dense", classes) or
+    ("merged", classes) for the sum over distinct subset sums, the bound
+    on the classes of ``class_bound`` and the builder it picks, or
+    ("lattice", blocks) for the walk of 2**16-mask blocks."""
     _check_capacity(model.m, exact_cap)
     _check_collectable(model)
     blocks = 1 << max(0, model.m - _BLOCK_BITS)
@@ -190,7 +193,7 @@ def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int | None]:
         )
     counts = model._counts
     head = counts[:-1]
-    integer, width, multisets = class_bound(head)
+    integer, dense, classes = class_bound(head)
     if not integer:
         # the probe's classes are its distinct subset sums (sorted here:
         # ``np.unique`` imports ``numpy.ma`` on first use, 9 ms)
@@ -205,20 +208,14 @@ def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int | None]:
     singles = model._count_avoidance(np.asarray(counts, dtype=np.float64))
     if (stuck := np.flatnonzero(singles >= 1.0)).size:
         _raise_stuck(1 << int(stuck[0]))
-    # bounded before the build, which would run out of memory instead:
-    # integer counts whose sums stay exact make at most N + 1 distinct
-    # sums, and no more than their sub-multisets. The build walks its
-    # sums densely only when the first bound is no larger
-    classes = 1 << len(head)
-    if integer and width <= 2**53:
-        classes = min(width, multisets)
+    # bounded before the build, which would run out of memory instead
     if classes > _MAX_CLASSES:
         raise CapacityError(
             f"the subset sums of {len(head)} weights make up to {classes} "
             f"classes, above the class path's {_MAX_CLASSES} "
-            f"(2**{DEFAULT_EXACT_CAP - 1}); use the Monte Carlo oracle"
+            f"(2**{_MAX_CLASSES.bit_length() - 1}); use the Monte Carlo oracle"
         )
-    return "classes", None
+    return ("dense" if dense else "merged"), classes
 
 
 def _walk(blocks) -> tuple[int, list[float], int]:
@@ -376,10 +373,11 @@ def _exact_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([p, error])
 
 
-def _count_law_blocks(model: _CountLaw):
+def _count_law_blocks(model: _CountLaw, build):
     """((pieces, top), sum of |terms|, largest |S| with q > 0) blocks of
-    the sum over the distinct subset sums c. The first element is an
-    ``_exact_total`` block.
+    the sum over the distinct subset sums c, whose classes ``build``
+    (``_dense_classes`` or ``_merged_classes``) makes. The first element
+    is an ``_exact_total`` block.
 
     a_c and b_c are the signed and unsigned numbers of subsets with sum c,
     so -sum a_c * t_c is the value and sum b_c * t_c the sum of |term|.
@@ -393,12 +391,12 @@ def _count_law_blocks(model: _CountLaw):
     increase with c, so a block's first t is its largest, and max|a_c|
     times it, rounded as the products are, bounds every rounded product
     and so every Dekker error. Each a_c is an integer (below 2**53, see
-    ``subset_sum_classes``) and each t at least 1, so each product and its
+    ``class_bound``) and each t at least 1, so each product and its
     rounded value are multiples of 2**-52, and so is their difference, the
     error.
     """
     counts = model._counts
-    sums, signed, total, largest = subset_sum_classes(counts[:-1])
+    sums, signed, total, largest = build(counts[:-1])
     most = float(np.abs(signed).max())
     # without the last type c = 0 is only the empty set, not a term
     for shift, sign, first, added in ((0, -1.0, 1, 0), (counts[-1], 1.0, 0, 1)):

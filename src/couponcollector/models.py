@@ -47,7 +47,14 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from ._bits import _BLOCK_BITS, subset_sums, subset_zeta, types_of, zeta_layout
+from ._bits import (
+    _BLOCK_BITS,
+    _MAX_CLASSES,
+    subset_sums,
+    subset_zeta,
+    types_of,
+    zeta_layout,
+)
 from .errors import CapacityError, DivergenceError, InputError
 
 PROB_SUM_TOLERANCE = 1e-9
@@ -643,8 +650,17 @@ class DraftLottery(_ExplicitLaw):
         satisfies W(A) = sum over t in A of W(A - {t}) * p[t] /
         (1 - mass(A - {t})). Each mass adds p in increasing type order, as
         ``subset_sums`` does, and each W adds its terms in that order.
+
+        More than ``_MAX_CLASSES`` groups raise ``CapacityError`` before
+        any is enumerated: at m = 40, g = 8 they would take about 8.5 GB.
         """
         m, g = self.m, self.g
+        if (groups := math.comb(m, g)) > _MAX_CLASSES:
+            raise CapacityError(
+                f"a draft lottery of m={m}, g={g} has {groups} groups, above "
+                f"the {_MAX_CLASSES} (2**{_MAX_CLASSES.bit_length() - 1}) "
+                f"its exact group law may hold; use the Monte Carlo oracle"
+            )
         p = np.asarray(self.p, dtype=np.float64)
         # each level below g is held in colex order, where the subset with
         # sorted types b_0 < b_1 < .. has rank sum_j C(b_j, j + 1)

@@ -6,9 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from couponcollector._bits import (
+    _dense_classes,
+    _merged_classes,
     class_bound,
     mask_of,
-    subset_sum_classes,
     subset_sums,
     subset_zeta,
     types_of,
@@ -40,10 +41,17 @@ def _grouped(sums):
     return keys, *([d[c] for c in keys] for d in (signed, total, largest))
 
 
+def _classes(values):
+    """The classes of ``values``, from the builder that ``class_bound``
+    names."""
+    dense = class_bound(values)[1]
+    return (_dense_classes if dense else _merged_classes)(values)
+
+
 def test_subset_sum_classes_match_brute_force():
     counts = (3, 1, 2, 3, 1, 4)
     sums = [sum(counts[i] for i in types_of(mask)) for mask in range(1 << 6)]
-    got = subset_sum_classes(counts)
+    got = _classes(counts)
     assert [a.tolist() for a in got] == list(_grouped(sums))
 
 
@@ -55,29 +63,36 @@ def test_float_subset_sum_classes_group_the_lattice_floats(seed):
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, 300, size=12)
     values = (counts / counts.sum()).tolist()
-    got = subset_sum_classes(values)
+    got = _classes(values)
     assert [a.tolist() for a in got] == list(_grouped(subset_sums(values).tolist()))
 
 
 def _check_classes(values):
-    """``subset_sum_classes`` of ``values`` is the grouping of their
-    lattice floats, in the four dtypes."""
-    got = subset_sum_classes(values)
-    assert [a.dtype for a in got] == [np.float64, np.int64, np.int64, np.uint8]
-    assert [a.tolist() for a in got] == list(_grouped(subset_sums(values).tolist()))
+    """Each builder that may take ``values``, the merge and for integers
+    the dense walk too, gives the grouping of their lattice floats in the
+    four dtypes, in no more classes than ``class_bound`` allows."""
+    integer, _, bound = class_bound(values)
+    want = list(_grouped(subset_sums(values).tolist()))
+    for build in (_merged_classes, _dense_classes) if integer else (_merged_classes,):
+        got = build(values)
+        assert [a.dtype for a in got] == [np.float64, np.int64, np.int64, np.uint8]
+        assert [a.tolist() for a in got] == want
+    assert len(want[0]) <= bound
 
 
 # zeros and repeats, a common factor, and large counts that spread the
-# sums past their sub-multisets, so that both builders run
+# sums past their sub-multisets; both builders run on every input, and
+# the comments name the one that ``class_bound`` picks
 @given(
     st.lists(st.integers(0, 12), max_size=10),
     st.lists(st.sampled_from([10**6, 10**6 + 1, 999_983]), max_size=2),
     st.sampled_from([1, 2, 3]),
 )
-@example([3, 1, 2, 3, 1, 4], [], 1)  # W + 1 = 15 <= 36 sub-multisets: dense
+@example([3, 1, 2, 3, 1, 4], [], 1)  # W / d + 1 = 15 <= 36 sub-multisets: dense
 @example([0, 2, 0, 1], [], 1)  # dense, with zeros
-@example([0, 0, 5, 5], [], 1)  # W + 1 = 11 > 9: merged, with zeros
-@example([1], [10**6, 10**6], 1)  # W + 1 = 2000002 > 6: merged
+@example([0, 0, 5, 5], [], 1)  # W / d + 1 = 3 <= 9: dense, with zeros
+@example([0, 0, 5, 7], [], 1)  # W / d + 1 = 13 > 12: merged, with zeros
+@example([1], [10**6, 10**6], 1)  # W / d + 1 = 2000002 > 6: merged
 @example([1, 2, 3, 4, 5], [], 2)  # dense over the even sums
 # a sum no subset has reached yet, shifted onto a reached one, must not
 # raise its largest size
@@ -102,20 +117,22 @@ def test_generic_classes_match_brute_force(values):
 @pytest.mark.parametrize(
     "values, bound",
     [
-        ((), (True, 1, 1)),
-        ((3, 1, 2, 3, 1, 4), (True, 15, 36)),
-        ((10**6, 10**6, 1), (True, 2000002, 6)),
-        ((0, 0, 5, 5), (True, 11, 9)),
-        ((0.5, 0.25, 0.25), (False, 2, 6)),
+        ((), (True, True, 1)),
+        ((3, 1, 2, 3, 1, 4), (True, True, 15)),
+        ((10**6, 10**6, 1), (True, False, 6)),
+        ((0, 0, 5, 5), (True, True, 3)),
+        ((0.5, 0.25, 0.25), (False, False, 8)),
+        # a common factor: W / d + 1 = 7 classes, where W + 1 = 6001
+        ((1000, 2000, 3000), (True, True, 7)),
+        # W / d + 1 = 3, but W = 2**53 is past exact sums: merged, and
+        # any subset may have its own sum
+        ((2**52, 2**52), (True, False, 4)),
     ],
 )
 def test_class_bound(values, bound):
+    """``(integer, dense, classes)``: the one rule that names the builder
+    and bounds the classes."""
     assert class_bound(values) == bound
-
-
-def test_subset_sum_classes_reject_inexact_multiplicities():
-    with pytest.raises(ValueError):
-        subset_sum_classes((1,) * 53)
 
 
 def _laid_out(values):

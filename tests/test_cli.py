@@ -181,6 +181,19 @@ class TestExitCodes:
                 "g": 2,
                 "mandelbrot": {"m": 5, "c": 0.3, "theta": True},
             },
+            [{"model": "uniform_distinct", "g": 2, "m": 4}],  # not an object
+            {"model": "uniform_distinct", "m": 4},  # no g
+            {"model": "iid_within_group", "g": 2, "mandelbrot": [5, 0.3, 1.75]},
+            {"model": "weighted_distinct", "g": 2},  # no q
+            {"model": "iid_within_group", "g": 2},  # no p
+            {"model": "iid_within_group", "g": 2, "p": []},
+            {"model": "iid_within_group", "g": 0, "p": [0.5, 0.5]},
+            {
+                "model": "iid_within_group",
+                "g": 2,
+                "mandelbrot": {"m": 0, "c": 0.3, "theta": 1.75},
+            },
+            {"model": "uniform_distinct", "g": 1, "m": 0},
         ],
     )
     def test_bad_field_exits_2(self, model_file, capsys, obj):
@@ -210,6 +223,8 @@ class TestExitCodes:
     def test_bad_range(self, capsys):
         assert main(["figure", "g-sweep", "--g-range", "5"]) == 2
         assert main(["figure", "g-sweep", "--g-range", "9..2"]) == 2
+        assert main(["figure", "m-sweep", "--m-range", "a..3"]) == 2
+        assert main(["figure", "m-sweep", "--m-range", "0..3"]) == 2
 
 
 class TestSimulate:
@@ -389,3 +404,16 @@ class TestFigureMSweep:
         assert rows[1][1] == ""
         assert rows[2][1] == ""
         assert all(r[2] for r in rows)  # simulated column still present
+
+    def test_exact_column_empty_where_the_engine_refuses_a_row(self, capsys):
+        # below the cap, but the 24 counts of N = 10**12 before the last
+        # make up to 2**24 classes, past the class path's 2**23: the row
+        # still simulates, and the sweep still prints its CSV
+        argv = ["figure", "m-sweep", "--m-range", "25..25", "--trials", "200"]
+        argv += ["--population-size", "1000000000000", "--exact-cap", "30"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        _, rows = _read_csv(captured.out)
+        assert [(r[0], r[1]) for r in rows] == [("25", "")]
+        assert float(rows[0][2]) > 0 and rows[0][5] == "200"
+        assert captured.err == ""

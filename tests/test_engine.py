@@ -31,7 +31,7 @@ from couponcollector import (
 )
 import couponcollector.engine as engine
 import couponcollector.models as models
-from couponcollector._bits import class_bound, mask_of, subset_sums
+from couponcollector._bits import mask_of, subset_sums
 from conftest import random_model, spy_forks, stub_forks
 
 PAPER_COUNTS = (10, 100, 500, 1000)
@@ -60,6 +60,8 @@ class TestUniformGroup:
             uniform_group_expectation(4, 4)
         with pytest.raises(InputError):
             uniform_group_expectation(4, 0)
+        with pytest.raises(InputError, match="m must be at least 1"):
+            uniform_group_expectation(0, 1)
 
     def test_matches_master_sum_up_to_14(self):
         for m in range(2, 15):
@@ -173,6 +175,17 @@ class TestMasterSum:
             exact += (-1) ** (k + 1) * math.comb(m, k) * Fraction(t)
         value = inclusion_exclusion_expectation(model, exact_cap=m).value
         assert value == float(exact)
+        # and so does W / d + 1 for counts with a common factor d: an urn
+        # of N = 1000 at m = 30 counted in millions makes at most 999
+        # classes, where its 13,271,040 sub-multisets pass 2**23, and its
+        # dense walk gives the sum of its merged classes
+        weights = mandelbrot_weights(30, 0.30, 1.75)
+        counts = population_from_weights(weights, 1000).counts
+        model = WithoutReplacement(Population(tuple(10**6 * c for c in counts)), 2)
+        assert engine._exact_path(model, 30) == ("dense", 999)
+        value = inclusion_exclusion_expectation(model, exact_cap=30).value
+        merged = engine._count_law_blocks(model, engine._merged_classes)
+        assert value == engine._walk(merged)[0] / (1 << 52)
 
     def test_divergence_reports_offending_type(self):
         model = IidWithinGroup((0.5, 0.5, 0.0), 2)
@@ -188,6 +201,12 @@ class TestMasterSum:
 
 def _fail(*args):
     raise AssertionError("built a table")
+
+
+def _no_class_build(monkeypatch):
+    """Make either class builder fail the test if the engine calls it."""
+    for name in ("_dense_classes", "_merged_classes"):
+        monkeypatch.setattr(engine, name, _fail)
 
 
 class TestExactPath:
@@ -224,7 +243,7 @@ class TestExactPath:
         p = np.random.default_rng(54).uniform(0.1, 1.0, size=54)
         model = IidWithinGroup(tuple(p / p.sum()), 3)
         monkeypatch.setattr(engine, "subset_sums", _fail)
-        monkeypatch.setattr(engine, "subset_sum_classes", _fail)
+        _no_class_build(monkeypatch)
         with pytest.raises(CapacityError, match="m=54 exceeds the 53-type limit"):
             inclusion_exclusion_expectation(model, exact_cap=60)
 
@@ -232,7 +251,7 @@ class TestExactPath:
         # 2**29 classes would pass the bound, but (N - 1) / N rounds to 1
         counts = (10**17,) + tuple(2**k for k in range(29))
         model = WithoutReplacement(Population(counts), 2)
-        monkeypatch.setattr(engine, "subset_sum_classes", _fail)
+        _no_class_build(monkeypatch)
         with pytest.raises(DivergenceError, match="jointly avoided") as err:
             inclusion_exclusion_expectation(model, exact_cap=30)
         assert err.value.subset_mask == 0b10
@@ -255,7 +274,7 @@ class TestExactPath:
             "subset_sums",
             lambda values: widths.append(len(values)) or sums(values),
         )
-        monkeypatch.setattr(engine, "subset_sum_classes", _fail)
+        _no_class_build(monkeypatch)
         with pytest.raises(CapacityError, match="2\\*\\*23"):
             inclusion_exclusion_expectation(model, exact_cap=25)
         assert widths == [engine._PROBE_VALUES]
@@ -732,6 +751,9 @@ class TestFreeBounds:
         assert err.value.subset_mask == 1 << 11
 
 
+_BUILDERS = {"dense": engine._dense_classes, "merged": engine._merged_classes}
+
+
 def _class_law(kind: str):
     """A count law that takes the class path, and its exact cap: an urn of
     18 counts up to 10**6 (four class blocks), ``UniformDistinct(30, 4)``
@@ -761,8 +783,8 @@ class TestClassBounds:
     )
     def test_pieces_are_bounded_multiples_of_the_unit(self, kind, value, ratio, widest):
         model, cap = _class_law(kind)
-        assert engine._exact_path(model, cap) == ("classes", None)
-        blocks = list(engine._count_law_blocks(model))
+        path, _ = engine._exact_path(model, cap)
+        blocks = list(engine._count_law_blocks(model, _BUILDERS[path]))
         assert len(blocks) == (4 if kind == "urn" else 2)
         for (pieces, top), _, _ in blocks:
             assert np.abs(pieces).max() <= top < 2.0**106
@@ -778,10 +800,13 @@ def _bits_law(kind: str):
     """A count law on the class path and its exact cap: Mandelbrot urns
     (c = 0.30, theta = 1.75) of N = 1000 (or 10**6) individuals at m
     types, ``UniformDistinct(m, g)``, an i.i.d. law with p = counts / N at
-    m = 22, and an urn of repeated large counts whose sums spread past
-    their 324 sub-multisets."""
+    m = 22, an urn of repeated large counts whose sums spread past
+    their 324 sub-multisets, and an urn of N = 10**5 at m = 24 counted in
+    thousands, whose sums are multiples of 1000."""
     def urn(n, m):
         return population_from_weights(mandelbrot_weights(m, 0.30, 1.75), n)
+
+    thousands = Population(tuple(1000 * c for c in urn(10**5, 24).counts))
 
     laws = {
         "urn-24": (WithoutReplacement(urn(1000, 24), 2), 24),
@@ -796,6 +821,7 @@ def _bits_law(kind: str):
             ),
             24,
         ),
+        "thousands": (WithoutReplacement(thousands, 2), 24),
     }
     return laws[kind]
 
@@ -803,8 +829,10 @@ def _bits_law(kind: str):
 class TestClassBits:
     """Both class builders feed the same sum: each law's value, ratio
     (``float.hex``) and widest size are pinned as a build that merged
-    every law's classes gave them, and ``dense`` says which builder
-    ``class_bound`` picks for the law."""
+    every law's classes gave them, and ``dense`` says which walk
+    ``_exact_path`` names for the law. The urn counted in thousands was
+    merged while the builder's rule read W + 1 = 99,723,001 sums; at
+    W / d + 1 = 99,724 it is dense."""
 
     @pytest.mark.parametrize(
         "kind, dense, value, ratio, widest",
@@ -816,13 +844,12 @@ class TestClassBits:
             ("ud-30-2", True, "0x1.d945c18149cb1p+5", "0x1.7794661e50111p+24", 28),
             ("iid-22", False, "0x1.cbac9596564bep+7", "0x1.afb0ee71dc6b9p+14", 21),
             ("repeated", False, "0x1.21d1b4d2f21b5p+5", "0x1.3b795a901dc0cp+15", 19),
+            ("thousands", True, "0x1.8c379b3d7cf5dp+8", "0x1.35b1a833be241p+16", 23),
         ],
     )
     def test_results_are_pinned(self, kind, dense, value, ratio, widest):
         model, cap = _bits_law(kind)
-        assert engine._exact_path(model, cap) == ("classes", None)
-        integer, width, multisets = class_bound(model._counts[:-1])
-        assert (integer and width <= multisets) == dense
+        assert engine._exact_path(model, cap)[0] == ("dense" if dense else "merged")
         result = inclusion_exclusion_expectation(model, exact_cap=cap)
         assert result.value.hex() == value
         assert result.cancellation_ratio.hex() == ratio

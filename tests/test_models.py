@@ -21,9 +21,11 @@ from couponcollector import (
     mandelbrot_weights,
     model_from_dict,
     population_from_weights,
+    sample_group,
     uniform_group_expectation,
     uniform_single_expectation,
 )
+import couponcollector.models as models
 from couponcollector._bits import mask_of, subset_sums
 from couponcollector.models import DRAFT_MAX_GROUP_SIZE, _masks_of_rows, _subset_types
 from conftest import random_model
@@ -520,6 +522,51 @@ class TestDraftGroupLaw:
             assert masks.dtype == np.uint64
             assert np.array_equal(masks, ref_masks)
             assert np.array_equal(weights, ref_weights)
+
+
+class _Enumerated(Exception):
+    """Raised by the spy on ``_subset_types``: the group law was begun."""
+
+
+class TestDraftLawBound:
+    """A draft lottery's group law is enumerated only up to 2**23 groups:
+    at m = 40, g = 8 its 76.9M groups would take about 8.5 GB."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        calls = []
+
+        def enumerate_types(m, k):
+            calls.append((m, k))
+            raise _Enumerated
+
+        monkeypatch.setattr(models, "_subset_types", enumerate_types)
+        return calls
+
+    def test_an_over_bound_law_is_never_enumerated(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        model = DraftLottery(mandelbrot_weights(40, 0.30, 1.75), 8)
+        for query in (
+            lambda: model.avoidance_probability(0b1),
+            lambda: next(model.avoidance_blocks()),
+            lambda: first_occurrence_expectation(model, 0),
+            lambda: inclusion_exclusion_expectation(model, exact_cap=40),
+        ):
+            with pytest.raises(CapacityError, match="76904685 groups"):
+                query()
+        assert calls == []
+        # its draws never build the law
+        assert sample_group(model, np.random.default_rng(0)).bit_count() == 8
+
+    @pytest.mark.parametrize("m, over", [(31, False), (32, True)])
+    def test_the_bound_is_2_23_groups(self, monkeypatch, m, over):
+        # C(31, 8) = 7,888,725 groups are enumerated, C(32, 8) = 10,518,300
+        # are not
+        calls = self._spy(monkeypatch)
+        model = DraftLottery(mandelbrot_weights(m, 0.30, 1.75), 8)
+        with pytest.raises(CapacityError if over else _Enumerated):
+            model.avoidance_probability(0b1)
+        assert calls == ([] if over else [(m, 1)])
 
 
 class TestMandelbrotWeights:

@@ -171,6 +171,10 @@ class TestSimulation:
         estimate = simulate_collection(UniformDistinct(5, 2), trials=4000, seed=5)
         half = estimate.ci_high - estimate.mean
         assert half == pytest.approx(1.959963984540054 * estimate.std_error)
+        # one trial has no spread: the interval is its draw count
+        one = simulate_collection(UniformDistinct(5, 2), trials=1, seed=5)
+        assert one.mean == float(_reference_draws(UniformDistinct(5, 2), 5, 1)[0])
+        assert (one.std_error, one.ci_low, one.ci_high) == (0.0, one.mean, one.mean)
 
     # collectable, but type 1 shows up once in about 1e15 draws
     RARE_TYPE = IidWithinGroup((1 - 1e-15, 1e-15), 1)
@@ -468,7 +472,7 @@ class _Unpicklable(WeightedDistinct):
         raise TypeError("this model must not be pickled")
 
 
-class TestWorkerPools:
+class TestWorkerForks:
     TRIALS = 37
 
     def test_models_reach_forked_spans_unpickled(self, monkeypatch):
