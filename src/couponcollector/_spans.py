@@ -11,7 +11,6 @@ import pickle
 import signal
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 
 def usable_cpus() -> int:
@@ -159,5 +158,9 @@ def _run_spans(span, model, units: int, min_units: int, workers: int, *args) -> 
                 child.end()
     if workers == 1:
         return [span(model, 0, units, *args)]
+    # imported here, so that a process that never takes this hop never
+    # loads concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1) as pool:
         return [pool.submit(span, model, 0, units, *args).result()]

@@ -385,13 +385,20 @@ class _CountLaw(GroupModel):
         return self.g
 
     @cached_property
-    def _urn(self) -> tuple:
+    def _draw_table(self) -> tuple:
+        """(guide, bits) of ``_ranked_urn_masks``. Its positions are int64,
+        so an urn of 2**63 individuals or more raises ``CapacityError``."""
+        if (total := sum(self._counts)) >= 1 << 63:
+            raise CapacityError(
+                f"an urn of {total} individuals is past the simulator's "
+                f"2**63 - 1 (its positions are int64)"
+            )
         guide = _guide(np.cumsum(np.asarray(self._counts, dtype=np.int64)))
         bits = _type_bits(self.m)
         return guide, bits[guide[2]] if guide[3] == 0 else bits
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        return _ranked_urn_masks(uniforms, *self._urn)
+        return _ranked_urn_masks(uniforms, *self._draw_table)
 
 
 class _ExplicitLaw(GroupModel):
@@ -518,7 +525,7 @@ class WeightedDistinct(_ExplicitLaw):
         return masks, np.asarray(self.weights, dtype=np.float64)
 
     @cached_property
-    def _draw_guide(self) -> tuple:
+    def _draw_table(self) -> tuple:
         return _guide(np.cumsum(self._group_law[1]))
 
     @property
@@ -526,7 +533,7 @@ class WeightedDistinct(_ExplicitLaw):
         return 1
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        guide = self._draw_guide
+        guide = self._draw_table
         return self._group_law[0][_guided_search(uniforms[:, 0] * guide[0], guide)]
 
     def describe(self) -> str:
@@ -567,11 +574,11 @@ class IidWithinGroup(_CountLaw):
         return np.power(q, self.g, out=q)
 
     @cached_property
-    def _draw_guide(self) -> tuple:
+    def _draw_table(self) -> tuple:
         return _guide(np.cumsum(self.p))
 
     def draw_groups(self, uniforms: np.ndarray) -> np.ndarray:
-        guide = self._draw_guide
+        guide = self._draw_table
         return _masks_of_rows(_guided_search(uniforms * guide[0], guide), self.m)
 
     def describe(self) -> str:
@@ -726,7 +733,9 @@ def avoidance_probability(model: GroupModel, subset_mask: int) -> float:
     return model.avoidance_probability(subset_mask)
 
 
-def sample_group(model: GroupModel, rng: np.random.Generator) -> int:
+# rng's annotation is a string, so that importing this module does not load
+# numpy.random, which only the simulator and this function use
+def sample_group(model: GroupModel, rng: "np.random.Generator") -> int:
     """Draw one group and return the bitmask of types it contains.
 
     Consumes exactly ``model.uniforms_per_group`` doubles from ``rng``,

@@ -117,16 +117,17 @@ def _simulate_range(
     """Group counts for trials lo .. hi-1, one tile of trials at a time,
     each tile's first fill sized from the tiles before it."""
     tile = max(1, _BATCH_ELEMENTS // (_FILL_MAX_DRAWS * model.uniforms_per_group))
-    counts = []
+    counts = np.empty(hi - lo, dtype=np.int64)
     first_fill, total = _FILL_MIN_DRAWS, 0
     for start in range(lo, hi, tile):
         stop = min(start + tile, hi)
-        counts.append(_simulate_tile(model, start, stop, seed, max_draws, first_fill))
-        total += int(counts[-1].sum())
+        done = _simulate_tile(model, start, stop, seed, max_draws, first_fill)
+        counts[start - lo : stop - lo] = done
+        total += int(done.sum())
         # the mean draw count so far, rounded up to whole passes
         passes = -(-total // ((stop - lo) * _PASS_DRAWS))
         first_fill = min(max(passes * _PASS_DRAWS, _FILL_MIN_DRAWS), _FILL_MAX_DRAWS)
-    return np.concatenate(counts)
+    return counts
 
 
 def _simulate_tile(
@@ -190,7 +191,37 @@ def _simulate_spans(
     spans = _run_spans(
         _simulate_range, model, trials, _PROCESS_MIN_TRIALS, workers, seed, max_draws
     )
-    return np.concatenate(spans)
+    # one span's counts are returned uncopied, for ``_summary`` to sort
+    return spans[0] if len(spans) == 1 else np.concatenate(spans)
+
+
+def _summary(draws: np.ndarray) -> tuple[float, float]:
+    """The mean of the draw counts and its standard error, bit for bit as
+    ``math.fsum`` gives them over one float per trial, with no Python object
+    per trial. ``draws`` is sorted in place.
+
+    The mean is the counts' integer total, rounded once, over the trials.
+    The sum of squared deviations is exact: the counts are grouped by value,
+    and each distinct count v's rounded square (v - mean) ** 2, a dyadic
+    fraction, times its multiplicity, is summed in Python ints over one
+    power-of-two denominator and rounded once. That is the correctly rounded
+    sum that ``math.fsum`` returns for the per-trial squares.
+    """
+    trials = draws.size
+    mean = float(int(draws.sum())) / trials
+    if trials == 1:
+        return mean, 0.0
+    draws.sort()
+    starts = np.append(0, np.flatnonzero(draws[1:] != draws[:-1]) + 1)
+    times = np.diff(starts, append=trials)
+    squares = [
+        (k, *((v - mean) ** 2).as_integer_ratio())
+        for v, k in zip(draws[starts].tolist(), times.tolist())
+    ]
+    scale = max(den for _, _, den in squares)  # each den is a power of two
+    total = sum(k * num * (scale // den) for k, num, den in squares)
+    variance = total / scale / (trials - 1)
+    return mean, math.sqrt(variance / trials)
 
 
 def simulate_collection(
@@ -210,8 +241,14 @@ def simulate_collection(
     otherwise they run as one span.
     ``max_draws``, an integer of at least 1, caps the groups one trial may
     draw (default ``DEFAULT_MAX_DRAWS``, read at call time). A model with
-    more than 64 types (groups and collected sets are uint64 masks), or
-    with a type that no group contains, fails at once, before any draw.
+    more than 64 types (groups and collected sets are uint64 masks), an
+    urn of 2**63 individuals or more (its positions are int64), or a model
+    with a type that no group contains fails at once, before any draw.
+
+    The trials' draw counts are summarised exactly (``_summary``): the mean
+    and standard error are bit for bit those of ``math.fsum`` over one
+    float per trial, computed from the distinct counts and their
+    multiplicities, with 8 bytes per trial held for the counts.
     """
     _type_bits(model.m)
     _check_collectable(model)
@@ -227,14 +264,9 @@ def simulate_collection(
     max_draws = _integer(max_draws, "max_draws")
     if max_draws < 1:
         raise InputError("max_draws must be at least 1")
+    model._draw_table  # built in the caller, so that forked spans inherit it
     draws = _simulate_spans(model, trials, seed, workers, max_draws)
-    values = draws.astype(np.float64).tolist()
-    mean = math.fsum(values) / trials
-    if trials > 1:
-        variance = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
-        std_error = math.sqrt(variance / trials)
-    else:
-        std_error = 0.0
+    mean, std_error = _summary(draws)
     return SimEstimate(
         mean=mean,
         std_error=std_error,

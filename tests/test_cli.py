@@ -279,6 +279,22 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: m=70 exceeds the 64 types")
 
+    @pytest.mark.parametrize(
+        "counts", [[2**62] * 3, [2**63, 1]], ids=["total-past", "count-past"]
+    )
+    def test_urn_past_int64_exit_3(self, model_file, capsys, counts):
+        path = model_file({"model": "without_replacement", "g": 2, "counts": counts})
+        assert main(["simulate", "--model", path, "--trials", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: an urn of {sum(counts)} individuals")
+
+    def test_urn_just_below_int64_simulates(self, model_file, capsys):
+        counts = [2**62, 2**62 - 1]
+        path = model_file({"model": "without_replacement", "g": 2, "counts": counts})
+        assert main(["simulate", "--model", path, "--trials", "500"]) == 0
+        assert capsys.readouterr().out.startswith("mean = ")
+
     def test_json_fields(self, model_file, capsys):
         path = model_file({"model": "uniform_distinct", "g": 2, "m": 4})
         assert main(["simulate", "--model", path, "--trials", "500", "--json"]) == 0
@@ -292,6 +308,48 @@ class TestSimulate:
         monkeypatch.setattr(oracle, "DEFAULT_MAX_DRAWS", 200)
         path = model_file({"model": "iid_within_group", "g": 1, "p": [1.0, 0.0]})
         assert main(["simulate", "--model", path, "--trials", "5"]) == 3
+
+
+# run in a fresh interpreter: the modules that ``exact``, ``chain`` and
+# ``figure g-sweep`` load past ``import numpy`` (numpy 1.x loads numpy.random
+# with numpy itself), then a simulation
+_FOOTPRINT = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from couponcollector import UniformDistinct, chain_expectation, cli
+codes = [
+    cli.main(["exact", "--model", sys.argv[1]]),
+    cli.main(["figure", "g-sweep", "--g-range", "1..3"]),
+]
+chain_expectation(UniformDistinct(4, 2))
+loaded = sorted(set(sys.modules) - before)
+codes.append(cli.main(["simulate", "--model", sys.argv[1], "--trials", "300"]))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_exact_loads_no_simulator_module(model_file):
+    path = model_file(PAPER_MODEL)
+    src = Path(couponcollector.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "COUPONCOLLECTOR_WORKERS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, path],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**env, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    simulator = [
+        name
+        for name in report["loaded"]
+        if name.startswith(("numpy.random", "concurrent"))
+    ]
+    assert simulator == []
+    assert "couponcollector.oracle" in report["loaded"]
 
 
 class TestFigureGSweep:

@@ -217,6 +217,24 @@ class TestSimulation:
         with pytest.raises(CapacityError, match="m=70 exceeds the 64 types"):
             simulate_collection(UniformDistinct(70, 2), trials=3, seed=0, workers=2)
 
+    @pytest.mark.parametrize(
+        "counts", [(2**62,) * 3, (2**63, 1)], ids=["total-past", "count-past"]
+    )
+    def test_urn_past_int64_fails_before_any_draw(self, monkeypatch, counts):
+        def no_draws(*args):
+            raise AssertionError("drew a group or forked a span")
+
+        monkeypatch.setattr(oracle, "_simulate_spans", no_draws)
+        model = WithoutReplacement(Population(counts), 2)
+        with pytest.raises(CapacityError, match=rf"urn of {sum(counts)} .* 2\*\*63 - 1"):
+            simulate_collection(model, trials=3, seed=0, workers=2)
+
+    def test_urn_just_below_int64_simulates(self):
+        model = WithoutReplacement(Population((2**62, 2**61, 2**61 - 1)), 2)
+        exact = chain_expectation(model).expected_from_empty
+        estimate = simulate_collection(model, trials=20_000, seed=4)
+        assert abs(estimate.mean - exact) <= 3.29 * estimate.std_error
+
     def test_64_types_simulate(self):
         estimate = simulate_collection(UniformDistinct(64, 60), trials=20, seed=0)
         assert estimate.mean > 1
@@ -447,6 +465,41 @@ class TestPinnedEstimates:
     def test_estimate_is_unchanged(self, model, trials, seed, mean, std_error):
         estimate = simulate_collection(model, trials=trials, seed=seed)
         assert (estimate.mean.hex(), estimate.std_error.hex()) == (mean, std_error)
+
+
+def _fsum_summary(draws) -> tuple[float, float]:
+    """The mean and standard error as one float per trial and ``math.fsum``
+    give them: the reference that ``oracle._summary`` must equal bit for bit."""
+    values = np.asarray(draws).astype(np.float64).tolist()
+    trials = len(values)
+    mean = math.fsum(values) / trials
+    if trials == 1:
+        return mean, 0.0
+    variance = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
+    return mean, math.sqrt(variance / trials)
+
+
+class TestSummary:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_fsum_reference(self, seed):
+        # geometric draw counts of a random trial count and spread, like
+        # the waits of a collection
+        rng = np.random.default_rng(seed)
+        trials = int(rng.integers(1, 3001))
+        spread = float(rng.uniform(1, 5000))
+        draws = rng.geometric(1 / spread, size=trials).astype(np.int64)
+        want = _fsum_summary(draws)
+        assert oracle._summary(draws) == want
+        assert np.all(np.diff(draws) >= 0)  # sorted in place
+
+    @pytest.mark.parametrize(
+        "draws",
+        [[7], [1], [5] * 1000, [3] * 2999 + [4], [10**7, 1], [2, 1, 2, 1, 2]],
+        ids=["one-trial", "one-draw", "all-equal", "one-apart", "wide", "two-values"],
+    )
+    def test_edge_arrays_equal_the_fsum_reference(self, draws):
+        draws = np.array(draws, dtype=np.int64)
+        assert oracle._summary(draws.copy()) == _fsum_summary(draws)
 
 
 FIVE_MODELS = [

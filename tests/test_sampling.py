@@ -91,8 +91,19 @@ def test_empirical_avoidance_matches_exact(model):
         np.cumsum((0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25)),  # sums on bucket starts
         np.cumsum((0.0, 0.3, 0.0, 0.0, 0.2, 0.5, 0.0, 0.0)),
         np.cumsum(np.random.default_rng(3).dirichlet(np.ones(200_000))),
+        # N = 2**63 - 1, the largest urn the simulator takes; its top rounds
+        # up to 2**63 as a float
+        np.cumsum((2**63 - 2**20 - 3, 1, 1, 2**20)),
     ],
-    ids=["N<=2**16", "N>2**16", "p", "zero p", "zero p at the ends", "p past 2**16"],
+    ids=[
+        "N<=2**16",
+        "N>2**16",
+        "p",
+        "zero p",
+        "zero p at the ends",
+        "p past 2**16",
+        "N=2**63-1",
+    ],
 )
 def test_urn_guide_matches_searchsorted_at_every_type_boundary(cum):
     total, stops, first, shift, steps = guide = _guide(cum)
@@ -120,7 +131,7 @@ def test_guide_of_a_large_weighted_law_matches_searchsorted():
     w = np.random.default_rng(20).integers(1, 101, size=math.comb(20, 10))
     model = WeightedDistinct(20, 10, tuple((w / w.sum()).tolist()))
     cum = np.cumsum(model._group_law[1])
-    total, _, first, _, steps = guide = model._draw_guide
+    total, _, first, _, steps = guide = model._draw_table
     assert total == cum[-1]
     assert len(first) <= 1 << 16 and steps > 1
     targets = np.concatenate(
