@@ -9,6 +9,7 @@ round-trips through float parsing.
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -208,6 +209,10 @@ def cmd_figure(args) -> int:
     return _m_sweep(args)
 
 
+# built on the first call and reused: a parse returns a fresh namespace, and
+# help and usage errors find sys.stdout, sys.stderr and the terminal width
+# only when they print, so repeated in-process calls stay independent
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="couponcollector",

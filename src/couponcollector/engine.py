@@ -86,15 +86,16 @@ from ._spans import _run_spans
 DEFAULT_EXACT_CAP = 24
 
 # Real weights take the class path only when some subset sums of their
-# first _PROBE_VALUES values coincide; otherwise they walk the lattice,
-# which costs 0.26 s at m = 22 where 2**21 classes cost 0.46 s. Measured
-# on IidWithinGroup(counts / N, 3) for a Mandelbrot population at m = 22
-# (class path against lattice): N = 10**5 has 217,891 classes, 0.11 s
-# against 0.26 s, and 12 values are the fewest whose sums coincide; at
-# N = 10**6 (1.29M classes, 0.41 s against 0.29 s) 12 values are the most
-# whose sums do not. The probe, a sort of its 4096 lattice sums, costs
-# about 0.06 ms. A generic p with one value repeated still collides and
-# takes the class path, 1.3x the lattice.
+# first _PROBE_VALUES values coincide; otherwise they walk the lattice. On
+# IidWithinGroup(counts / N, 3) for a Mandelbrot population at m = 22, 12
+# values are the fewest whose sums coincide at N = 10**5 (217,891 classes)
+# and the most whose sums do not at N = 10**6 (1.29M classes). The probe, a
+# sort of its 4096 lattice sums, costs about 0.06 ms. It now picks the
+# slower walk at N = 10**5: the class path takes 0.10-0.11 s in 54 MB where
+# the lattice takes 0.041-0.042 s in 35 MB, with the same value (3 fresh
+# processes each, workers=1, 2-core VM). ROADMAP item 1 replaces the probe
+# with a rule that prices each walk. A generic p with one value repeated
+# still collides and takes the class path.
 _PROBE_VALUES = 12
 
 # Each span of a forked lattice walk gets at least this many blocks of 2**16

@@ -288,7 +288,10 @@ def _guide(cum: np.ndarray) -> tuple:
     shift = math.frexp(top)[1] - _GUIDE_BITS  # top < 2**(shift + _GUIDE_BITS)
     shift = max(0, shift) if exact else shift
     stops = np.append(cum[:-1], np.iinfo(cum.dtype).max if exact else np.inf)
-    starts = np.arange(int(top * 2.0**-shift) + 1, dtype=cum.dtype) * 2**shift
+    # an integer top near 2**63 rounds up as a float, so its last bucket is
+    # taken in integers: one bucket more would start past int64 and wrap
+    last = int(top) >> shift if exact else int(top * 2.0**-shift)
+    starts = np.arange(last + 1, dtype=cum.dtype) * 2**shift
     first = np.searchsorted(stops, starts, side="right")
     reach = np.append(np.searchsorted(stops, starts[1:], side="left"), len(cum) - 1)
     return cum[-1], stops, first, shift, int((reach - first).max())

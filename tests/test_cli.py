@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import couponcollector
+import couponcollector.cli as cli
 import couponcollector.engine as engine
 from conftest import record_spans, spy_forks, stub_forks
 from couponcollector.cli import main
@@ -308,6 +309,52 @@ class TestSimulate:
         monkeypatch.setattr(oracle, "DEFAULT_MAX_DRAWS", 200)
         path = model_file({"model": "iid_within_group", "g": 1, "p": [1.0, 0.0]})
         assert main(["simulate", "--model", path, "--trials", "5"]) == 3
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(
+    model_file, monkeypatch, capsys
+):
+    # main builds its parser once per process: each call must still parse,
+    # print and exit as the same argv does in a fresh interpreter, whatever
+    # the calls before it asked for
+    path = model_file(PAPER_MODEL)
+    sim = ["simulate", "--model", path, "--trials", "3000"]
+    argvs = [
+        ["exact", "--model", path, "--json"],
+        ["exact", "--model", path],
+        sim + ["--seed", "5"],
+        sim,  # seed 0, not the 5 of the call before
+        ["exact"],  # --model is required
+        ["exact", "--model", path],
+        ["--help"],
+        ["--help"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to one width in both
+    monkeypatch.setenv("COUPONCOLLECTOR_WORKERS", "1")
+    got = []
+    for argv in argvs:
+        status = main(argv)
+        captured = capsys.readouterr()
+        got.append((captured.out, captured.err, status))
+
+    src = Path(couponcollector.__file__).resolve().parents[1]
+    code = "import sys; from couponcollector.cli import main; sys.exit(main())"
+    fresh = {}
+    for argv in map(tuple, argvs):
+        if argv not in fresh:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            fresh[argv] = (proc.stdout, proc.stderr, proc.returncode)
+    assert got == [fresh[tuple(argv)] for argv in argvs]
+    assert got[3][0].endswith("seed = 0\n")
+    assert got[4][0] == "" and got[4][1].startswith("usage:") and got[4][2] == 2
+    assert got[6] == got[7] and got[6][0].startswith("usage: couponcollector")
+    assert cli._build_parser() is cli._build_parser()
 
 
 # run in a fresh interpreter: the modules that ``exact``, ``chain`` and

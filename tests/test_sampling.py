@@ -94,6 +94,9 @@ def test_empirical_avoidance_matches_exact(model):
         # N = 2**63 - 1, the largest urn the simulator takes; its top rounds
         # up to 2**63 as a float
         np.cumsum((2**63 - 2**20 - 3, 1, 1, 2**20)),
+        # 64 near-equal counts with N = 2**63 - 1: a bucket past the float
+        # top would wrap its start and search all 64 stops
+        np.cumsum((2**57 - 1,) * 63 + (2**57 + 62,)),
     ],
     ids=[
         "N<=2**16",
@@ -103,13 +106,16 @@ def test_empirical_avoidance_matches_exact(model):
         "zero p at the ends",
         "p past 2**16",
         "N=2**63-1",
+        "64 types, N=2**63-1",
     ],
 )
 def test_urn_guide_matches_searchsorted_at_every_type_boundary(cum):
     total, stops, first, shift, steps = guide = _guide(cum)
     assert len(first) <= 1 << 16
+    assert (np.diff(first) >= 0).all()
     if cum.dtype.kind == "i":
         assert (shift == 0) == (cum[-1] <= 1 << 16)
+        assert len(first) == ((int(cum[-1]) - 1) >> shift) + 1
         # the positions 0 .. N-1
         targets = np.unique(np.concatenate([[0], cum - 1, cum[:-1]]))
     else:
