@@ -20,15 +20,15 @@ import numpy as np
 _BLOCK_BITS = 16
 
 # The most entries a table that grows with its law may hold, checked before
-# it is built: the classes of a count law's "dense" or "merged" walk (the
-# bound of ``class_bound``), as many as the default exact cap of 24 types
-# allows, and the groups of a draft lottery's enumerated law, which the
-# "lattice" walk reads. At m = 24, N = 10**8 the merge of the first 23
-# counts' 7,980,880 classes (of at most 2**23) peaks at 322 MB, about 42 B
-# each, and the whole sum at 380-435 MB RSS as the heap lies. The dense
-# walk peaks at about 27 B for each of its W / d + 1 sums: 203 MB for the
-# 7,977,826 of an urn of N = 8 * 10**6. A draft lottery's law took about
-# 110 B a group (122-685 MB at m = 24-30, g = 8)
+# it is built: the most classes a class walk may hold, as many as the
+# default exact cap of 24 types allows (the bound of ``class_bound``; a
+# count law past it walks the lattice), and the groups of a draft lottery's
+# enumerated law, which the "lattice" walk reads. At m = 24, N = 10**8 the
+# merge of the first 23 counts' 7,980,880 classes (of at most 2**23) peaks
+# at 322 MB, about 42 B each, and the whole sum at 380-435 MB RSS as the
+# heap lies. The dense walk peaks at about 27 B for each of its W / d + 1
+# sums: 203 MB for the 7,977,826 of an urn of N = 8 * 10**6. A draft
+# lottery's law took about 110 B a group (122-685 MB at m = 24-30, g = 8)
 _MAX_CLASSES = 1 << 23
 
 

@@ -172,11 +172,14 @@ def _m_sweep(args) -> int:
         weights = mandelbrot_weights(m, MANDELBROT_C, MANDELBROT_THETA)
         population = population_from_weights(weights, total)
         model = WithoutReplacement(population, group_size)
-        # a row the engine cannot answer (above the cap, or past its class
-        # bound) keeps its simulation and leaves the exact cell empty
+        # a row the engine cannot answer (above the cap, or past 53 types)
+        # keeps its simulation and leaves the exact cell empty; a row past
+        # the class walks' bound walks the lattice, forked as ``exact`` is
         try:
             exact_cell = _fmt(
-                inclusion_exclusion_expectation(model, exact_cap=args.exact_cap).value
+                inclusion_exclusion_expectation(
+                    model, exact_cap=args.exact_cap, workers=workers
+                ).value
             )
         except CapacityError:
             exact_cell = ""

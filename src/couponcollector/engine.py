@@ -22,13 +22,12 @@ limit that can fail there and names the walk, in this order:
    ``CapacityError`` before it enumerates them;
 4. a count law above 53 types raises ``CapacityError`` (only a cap of 54
    or more reaches it);
-5. integer counts take the class path, and so do real weights when the
-   subset sums of their first ``_PROBE_VALUES`` coincide; other real
-   weights (a generic p) walk the lattice;
-6. on the class path, a single type with q = 1 raises
-   ``DivergenceError``, and more than ``_MAX_CLASSES`` classes raise
-   ``CapacityError``. The bound and the builder come from one rule,
-   ``_bits.class_bound`` of the weights but the last: integers whose
+5. a count law with a single type of q = 1 raises ``DivergenceError``;
+6. a count law walks the lattice where its classes may pass
+   ``_MAX_CLASSES``, or where its weights are real and the subset sums of
+   the first ``_PROBE_VALUES`` do not coincide (a generic p); every other
+   count law walks its classes. The bound and the builder come from one
+   rule, ``_bits.class_bound`` of the weights but the last: integers whose
    total W is below 2**53, with d their greatest common divisor, make at
    most min(W / d + 1, sub-multisets) classes, and where W / d + 1 is the
    smaller their classes are walked densely, "dense"; the others are
@@ -85,17 +84,17 @@ from ._spans import _run_spans
 
 DEFAULT_EXACT_CAP = 24
 
-# Real weights take the class path only when some subset sums of their
-# first _PROBE_VALUES values coincide; otherwise they walk the lattice. On
-# IidWithinGroup(counts / N, 3) for a Mandelbrot population at m = 22, 12
-# values are the fewest whose sums coincide at N = 10**5 (217,891 classes)
-# and the most whose sums do not at N = 10**6 (1.29M classes). The probe, a
-# sort of its 4096 lattice sums, costs about 0.06 ms. It now picks the
-# slower walk at N = 10**5: the class path takes 0.10-0.11 s in 54 MB where
-# the lattice takes 0.041-0.042 s in 35 MB, with the same value (3 fresh
-# processes each, workers=1, 2-core VM). ROADMAP item 1 replaces the probe
-# with a rule that prices each walk. A generic p with one value repeated
-# still collides and takes the class path.
+# Real weights within the class bound take the class path only when some
+# subset sums of their first _PROBE_VALUES values coincide; otherwise they
+# walk the lattice. On IidWithinGroup(counts / N, 3) for a Mandelbrot
+# population at m = 22, 12 values are the fewest whose sums coincide at
+# N = 10**5 (217,891 classes) and the most whose sums do not at N = 10**6
+# (1.29M classes). The probe, a sort of its 4096 lattice sums, costs about
+# 0.06 ms. It now picks the slower walk at N = 10**5: the class path takes
+# 0.10-0.11 s in 54 MB where the lattice takes 0.041-0.042 s in 35 MB, with
+# the same value (3 fresh processes each, workers=1, 2-core VM). ROADMAP
+# item 1 replaces the probe with a rule that prices each walk. A generic p
+# with one value repeated still collides and takes the class path.
 _PROBE_VALUES = 12
 
 # Each span of a forked lattice walk gets at least this many blocks of 2**16
@@ -179,7 +178,9 @@ def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int]:
     order, and name the walk with its size: ("dense", classes) or
     ("merged", classes) for the sum over distinct subset sums, the bound
     on the classes of ``class_bound`` and the builder it picks, or
-    ("lattice", blocks) for the walk of 2**16-mask blocks."""
+    ("lattice", blocks) for the walk of 2**16-mask blocks. A count law
+    whose class bound passes ``_MAX_CLASSES`` takes the lattice, so the
+    probe of real weights runs only within that bound."""
     _check_capacity(model.m, exact_cap)
     _check_collectable(model)
     blocks = 1 << max(0, model.m - _BLOCK_BITS)
@@ -193,14 +194,6 @@ def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int]:
             f"(subset multiplicities pass 2**53); use the Monte Carlo oracle"
         )
     counts = model._counts
-    head = counts[:-1]
-    integer, dense, classes = class_bound(head)
-    if not integer:
-        # the probe's classes are its distinct subset sums (sorted here:
-        # ``np.unique`` imports ``numpy.ma`` on first use, 9 ms)
-        probe = np.sort(subset_sums(counts[:_PROBE_VALUES]))
-        if (probe[1:] > probe[:-1]).all():
-            return "lattice", blocks
     # q falls as c grows (1 - c, each urn factor, and their rounding are
     # monotone, and so are the float subset sums in their subset), so
     # q(S) = 1 for some S exactly when it does for a single type, and the
@@ -209,13 +202,16 @@ def _exact_path(model: GroupModel, exact_cap: int) -> tuple[str, int]:
     singles = model._count_avoidance(np.asarray(counts, dtype=np.float64))
     if (stuck := np.flatnonzero(singles >= 1.0)).size:
         _raise_stuck(1 << int(stuck[0]))
-    # bounded before the build, which would run out of memory instead
+    integer, dense, classes = class_bound(counts[:-1])
+    # past _MAX_CLASSES a class walk would run out of memory
     if classes > _MAX_CLASSES:
-        raise CapacityError(
-            f"the subset sums of {len(head)} weights make up to {classes} "
-            f"classes, above the class path's {_MAX_CLASSES} "
-            f"(2**{_MAX_CLASSES.bit_length() - 1}); use the Monte Carlo oracle"
-        )
+        return "lattice", blocks
+    if not integer:
+        # the probe's classes are its distinct subset sums (sorted here:
+        # ``np.unique`` imports ``numpy.ma`` on first use, 9 ms)
+        probe = np.sort(subset_sums(counts[:_PROBE_VALUES]))
+        if (probe[1:] > probe[:-1]).all():
+            return "lattice", blocks
     return ("dense" if dense else "merged"), classes
 
 

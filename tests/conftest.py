@@ -1,5 +1,6 @@
 """Shared helpers: a seeded generator of valid, collectable random models,
-and recorders of the span runner's spans and forked children."""
+recorders of the span runner's spans and forked children, and a guard
+against class builds."""
 
 import math
 
@@ -14,6 +15,7 @@ from couponcollector import (
     WithoutReplacement,
 )
 import couponcollector.cli as cli
+import couponcollector.engine as engine
 import couponcollector._spans as _spans
 import couponcollector.oracle as oracle
 
@@ -116,3 +118,13 @@ def record_spans(monkeypatch, cpus: int) -> tuple[list, list]:
     made = stub_forks(monkeypatch, cpus)
     monkeypatch.setattr(oracle, "_simulate_range", fake_range)
     return spans, made
+
+
+def no_class_build(monkeypatch):
+    """Make either class builder fail the test if the engine calls it."""
+
+    def fail(*args):
+        raise AssertionError("built a class")
+
+    for name in ("_dense_classes", "_merged_classes"):
+        monkeypatch.setattr(engine, name, fail)

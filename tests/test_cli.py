@@ -10,7 +10,14 @@ import pytest
 import couponcollector
 import couponcollector.cli as cli
 import couponcollector.engine as engine
-from conftest import record_spans, spy_forks, stub_forks
+from conftest import no_class_build, record_spans, spy_forks, stub_forks
+from couponcollector import (
+    Population,
+    WithoutReplacement,
+    inclusion_exclusion_expectation,
+    mandelbrot_weights,
+    population_from_weights,
+)
 from couponcollector.cli import main
 
 PAPER_MODEL = {"model": "without_replacement", "g": 2, "counts": [10, 100, 500, 1000]}
@@ -131,11 +138,20 @@ class TestExitCodes:
         assert main(["exact", "--model", path, "--exact-cap", "60"]) == 3
         assert "53-type limit" in capsys.readouterr().err
 
-    def test_count_classes_above_the_budget(self, model_file, capsys):
-        counts = [10**12 // 30 + i for i in range(30)]
+    def test_count_classes_above_the_budget(self, model_file, monkeypatch, capsys):
+        # the 24 counts before the last make up to 2**24 classes, past the
+        # class walks' 2**23: the law walks the lattice and builds no class,
+        # so it exits 3 only above the cap
+        no_class_build(monkeypatch)
+        counts = [10**12 // 25 + i for i in range(25)]
         path = model_file({"model": "without_replacement", "g": 2, "counts": counts})
-        assert main(["exact", "--model", path, "--exact-cap", "30"]) == 3
-        assert "classes" in capsys.readouterr().err
+        assert main(["exact", "--model", path, "--exact-cap", "24"]) == 3
+        err = capsys.readouterr().err
+        assert "m=25 exceeds the exact-computation cap of 24" in err
+        assert main(["exact", "--model", path, "--exact-cap", "25"]) == 0
+        model = WithoutReplacement(Population(counts), 2)
+        value = inclusion_exclusion_expectation(model, exact_cap=25).value
+        assert capsys.readouterr().out.startswith(f"value = {value:.17g}\n")
 
     def test_divergence_error(self, model_file, capsys):
         path = model_file({"model": "iid_within_group", "g": 2, "p": [0.5, 0.5, 0.0]})
@@ -510,15 +526,24 @@ class TestFigureMSweep:
         assert rows[2][1] == ""
         assert all(r[2] for r in rows)  # simulated column still present
 
-    def test_exact_column_empty_where_the_engine_refuses_a_row(self, capsys):
-        # below the cap, but the 24 counts of N = 10**12 before the last
-        # make up to 2**24 classes, past the class path's 2**23: the row
-        # still simulates, and the sweep still prints its CSV
+    def test_exact_column_empty_where_the_engine_refuses_a_row(
+        self, monkeypatch, capsys
+    ):
+        # the 24 counts of N = 10**12 before the last make up to 2**24
+        # classes, past the class walks' 2**23: under a cap of 25 the row
+        # walks the lattice, building no class, and prints the library's
+        # value; under the default cap it is refused, yet still simulates,
+        # and the sweep still prints its CSV
+        no_class_build(monkeypatch)
+        weights = mandelbrot_weights(25, 0.30, 1.75)
+        model = WithoutReplacement(population_from_weights(weights, 10**12), 2)
+        value = inclusion_exclusion_expectation(model, exact_cap=25).value
         argv = ["figure", "m-sweep", "--m-range", "25..25", "--trials", "200"]
-        argv += ["--population-size", "1000000000000", "--exact-cap", "30"]
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        _, rows = _read_csv(captured.out)
-        assert [(r[0], r[1]) for r in rows] == [("25", "")]
-        assert float(rows[0][2]) > 0 and rows[0][5] == "200"
-        assert captured.err == ""
+        argv += ["--population-size", "1000000000000"]
+        for cap, cell in (("25", f"{value:.17g}"), ("24", "")):
+            assert main(argv + ["--exact-cap", cap]) == 0
+            captured = capsys.readouterr()
+            _, rows = _read_csv(captured.out)
+            assert [(r[0], r[1]) for r in rows] == [("25", cell)]
+            assert float(rows[0][2]) > 0 and rows[0][5] == "200"
+            assert captured.err == ""

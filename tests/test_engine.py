@@ -31,8 +31,9 @@ from couponcollector import (
 )
 import couponcollector.engine as engine
 import couponcollector.models as models
-from couponcollector._bits import mask_of, subset_sums
-from conftest import random_model, spy_forks, stub_forks
+from couponcollector._bits import _dense_classes, _merged_classes
+from couponcollector._bits import class_bound, mask_of, subset_sums
+from conftest import no_class_build, random_model, spy_forks, stub_forks
 
 PAPER_COUNTS = (10, 100, 500, 1000)
 
@@ -155,12 +156,14 @@ class TestMasterSum:
         result = inclusion_exclusion_expectation(UniformDistinct(53, 2), exact_cap=53)
         assert result.terms_evaluated == (1 << 53) - 1
 
-    def test_count_classes_are_bounded_before_the_build(self):
-        # about 2**29 classes at N = 10**12 would take some 24 GB
+    def test_count_classes_are_bounded_before_the_build(self, monkeypatch):
+        # about 2**29 classes at N = 10**12 would take some 24 GB: the law
+        # walks the lattice's 2**14 blocks instead, and builds no class
         weights = mandelbrot_weights(30, 0.30, 1.75)
         model = WithoutReplacement(population_from_weights(weights, 10**12), 2)
-        with pytest.raises(CapacityError, match="classes"):
-            inclusion_exclusion_expectation(model, exact_cap=30)
+        with monkeypatch.context() as patched:
+            no_class_build(patched)
+            assert engine._exact_path(model, 30) == ("lattice", 1 << 14)
         # N + 1 bounds the classes of integer counts, whatever m is
         weights = mandelbrot_weights(40, 0.30, 1.75)
         model = WithoutReplacement(population_from_weights(weights, 1000), 3)
@@ -203,12 +206,6 @@ def _fail(*args):
     raise AssertionError("built a table")
 
 
-def _no_class_build(monkeypatch):
-    """Make either class builder fail the test if the engine calls it."""
-    for name in ("_dense_classes", "_merged_classes"):
-        monkeypatch.setattr(engine, name, _fail)
-
-
 class TestExactPath:
     """``engine._exact_path`` checks every exact limit, in one order,
     before any table is built; a model that fails two checks raises the
@@ -243,7 +240,7 @@ class TestExactPath:
         p = np.random.default_rng(54).uniform(0.1, 1.0, size=54)
         model = IidWithinGroup(tuple(p / p.sum()), 3)
         monkeypatch.setattr(engine, "subset_sums", _fail)
-        _no_class_build(monkeypatch)
+        no_class_build(monkeypatch)
         with pytest.raises(CapacityError, match="m=54 exceeds the 53-type limit"):
             inclusion_exclusion_expectation(model, exact_cap=60)
 
@@ -251,7 +248,7 @@ class TestExactPath:
         # 2**29 classes would pass the bound, but (N - 1) / N rounds to 1
         counts = (10**17,) + tuple(2**k for k in range(29))
         model = WithoutReplacement(Population(counts), 2)
-        _no_class_build(monkeypatch)
+        no_class_build(monkeypatch)
         with pytest.raises(DivergenceError, match="jointly avoided") as err:
             inclusion_exclusion_expectation(model, exact_cap=30)
         assert err.value.subset_mask == 0b10
@@ -263,9 +260,10 @@ class TestExactPath:
             inclusion_exclusion_expectation(model, workers="3")
 
     def test_the_class_bound_comes_before_a_wide_class_build(self, monkeypatch):
-        # counts / N share subset sums, so the probe picks the class path,
-        # and 24 real weights may make 2**24 classes. The probe reads the
-        # lattice sums of its values, and no class is built
+        # counts / N share subset sums, which the probe would take for the
+        # class path, but 24 real weights may make 2**24 classes, past the
+        # bound: the law walks the lattice, and neither the probe, which
+        # reads the lattice sums of its values, nor a class build runs
         model = IidWithinGroup(_counts_over_total(np.random.default_rng(3), 25), 2)
         widths = []
         sums = engine.subset_sums
@@ -274,10 +272,9 @@ class TestExactPath:
             "subset_sums",
             lambda values: widths.append(len(values)) or sums(values),
         )
-        _no_class_build(monkeypatch)
-        with pytest.raises(CapacityError, match="2\\*\\*23"):
-            inclusion_exclusion_expectation(model, exact_cap=25)
-        assert widths == [engine._PROBE_VALUES]
+        no_class_build(monkeypatch)
+        assert engine._exact_path(model, 25) == ("lattice", 1 << 9)
+        assert widths == []
 
 
 def _lattice(model):
@@ -1002,6 +999,63 @@ class TestForkedLattice:
             inclusion_exclusion_expectation(model, workers=3)
         assert err.value.subset_mask == mask
         assert made == ([] if mode == "one span" else [1])
+
+
+class TestPastTheClassBound:
+    """A count law whose classes may pass ``_MAX_CLASSES`` walks the
+    lattice, which builds no class: the bound moves no value, and the walk
+    is the same however it is split."""
+
+    def test_the_lattice_gives_the_class_walk_value(self, monkeypatch):
+        # below a bound of 0 every count law walks the lattice; its class
+        # walk, by the builder that class_bound picks, is called directly.
+        # The cancellation ratio is not compared: each walk groups its
+        # |term| sums its own way
+        monkeypatch.setattr(engine, "_MAX_CLASSES", 0)
+        no_class_build(monkeypatch)
+        rng = np.random.default_rng(28)
+        for i in range(300):
+            m = int(rng.integers(1, 15))
+            top = int(rng.choice([2, 30, 1000, 10**6, 10**12]))
+            counts = rng.integers(1, top + 1, size=m)
+            if i % 2:
+                g = int(rng.integers(1, min(12, int(counts.sum())) + 1))
+                model = WithoutReplacement(Population(tuple(counts.tolist())), g)
+            else:
+                p = tuple((counts / counts.sum()).tolist())
+                model = IidWithinGroup(p, int(rng.integers(1, 8)))
+            assert engine._exact_path(model, 24)[0] == "lattice"
+            lattice = inclusion_exclusion_expectation(model)
+            dense = class_bound(model._counts[:-1])[1]
+            build = _dense_classes if dense else _merged_classes
+            total, _, widest = engine._walk(engine._count_law_blocks(model, build))
+            assert lattice.value.hex() == (total / (1 << 52)).hex(), model
+            assert lattice.truncated_at == widest, model
+
+    def test_split_walks_equal_the_one_span_walk(self, monkeypatch):
+        # m = 18 makes four blocks of 2**16: 2 or 3 spans at 2 or 3 workers
+        monkeypatch.setattr(engine, "_MAX_CLASSES", 0)
+        no_class_build(monkeypatch)
+        weights = mandelbrot_weights(18, 0.30, 1.75)
+        model = WithoutReplacement(population_from_weights(weights, 10**12), 2)
+        assert engine._exact_path(model, 24) == ("lattice", 4)
+        one = inclusion_exclusion_expectation(model)
+        made = _split_lattice(monkeypatch, "forked")
+        for workers in (2, 3):
+            split = inclusion_exclusion_expectation(model, workers=workers)
+            assert split.value.hex() == one.value.hex()
+            assert split.cancellation_ratio.hex() == one.cancellation_ratio.hex()
+            assert split.truncated_at == one.truncated_at
+        assert made == [1, 2]
+        # (N - 1) / N rounds to 1 past N = 2**53: type 1 is stuck, and the
+        # law fails before its walk starts, with the same subset at every
+        # worker count
+        stuck = WithoutReplacement(Population((10**17,) + tuple(range(1, 18))), 2)
+        for workers in (1, 2, 3):
+            with pytest.raises(DivergenceError, match="jointly avoided") as err:
+                inclusion_exclusion_expectation(stuck, workers=workers)
+            assert err.value.subset_mask == 0b10
+        assert made == [1, 2]
 
 
 class TestSpecializations:
